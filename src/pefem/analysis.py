@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SingularSystemError, SolverError
-from .fem import quadrature_for_degree, _geometry_arrays
+from .fem import affine_map, quadrature_for_degree
 
 RESIDUAL_TOL = 1e-12
 
@@ -15,18 +15,18 @@ def solve(system):
     """Sparse direct solve meeting a relative-residual contract of 1e-12."""
     A = system.A.tocsc()
     try:
-        x = spla.spsolve(A, system.F)
+        lu = spla.splu(A)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
+    x = lu.solve(system.F)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite entries")
     fn = np.linalg.norm(system.F)
     residual = np.linalg.norm(A @ x - system.F) / (fn if fn > 0 else 1.0)
     if residual > RESIDUAL_TOL:
-        # Iterative refinement with extended-precision residuals: plain
-        # double-precision refinement stalls once the residual reaches the
-        # rounding floor of evaluating A @ x itself.
-        lu = spla.splu(A)
+        # Iterative refinement with the same factorization and
+        # extended-precision residuals: plain double-precision refinement
+        # stalls once the residual reaches the rounding floor of A @ x.
         A_ext = A.astype(np.longdouble)
         F_ext = system.F.astype(np.longdouble)
         x_ext = x.astype(np.longdouble)
@@ -52,7 +52,7 @@ def error_norms(space, u_h, exact_u, exact_grad, quadrature=None):
         raise ConfigurationError("error norms need the exact solution and gradient")
     rule = quadrature or quadrature_for_degree(space.degree)
     ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
-    origin, B, det, Binv = _geometry_arrays(space)
+    B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
     x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
 
     local = np.asarray(u_h)[space.cell_dofs]  # (m, nb)
@@ -144,14 +144,9 @@ def patch_test(space, geometry, assemble, make_problem, degree, rng):
     `assemble` maps (space, problem, geometry) to a linear system;
     `make_problem` maps a random polynomial to a ProblemSpec.
     """
-    from .problems import Poly2D
+    from .problems import random_polynomial
 
-    coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
-    for i in range(degree + 1):
-        for j in range(degree + 1):
-            if i + j > degree:
-                coeffs[i, j] = 0.0
-    poly = Poly2D(coeffs)
+    poly = random_polynomial(degree, rng)
     problem = make_problem(poly)
     system = assemble(space, problem, geometry)
     u_h = solve(system)

@@ -6,9 +6,7 @@ Subcommands:
   mesh   generate a mesh file
 
 Configuration is a line-oriented ``key=value`` file; command-line flags
-override file values.  ``PEFEM_THREADS=0`` (the default) requests
-single-threaded deterministic execution, which is also how every
-computation here actually runs.
+override file values.
 """
 
 import argparse
@@ -17,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ConvergenceReport, LevelResult, error_norms, solve
+from .analysis import ConvergenceReport, LevelResult, error_norms, patch_test, solve
 from .errors import ConfigurationError, PefemError
 from .fem import FeSpace
 from .forms import (
@@ -29,7 +27,7 @@ from .forms import (
 )
 from .geometry import disk_geometry, geometric_gap, square_hole_geometry
 from .mesh import generate_disk_mesh, generate_square_hole_mesh, validate, write_mesh
-from .problems import Poly2D, polynomial_problem, preset_problem
+from .problems import polynomial_problem, preset_problem, random_polynomial
 
 PATCH_TOL = 1e-8
 
@@ -51,7 +49,6 @@ CONFIG_KEYS = {
     "problem",
     "out",
     "seed",
-    "deterministic",
 }
 
 
@@ -68,7 +65,6 @@ class ExperimentConfig:
         problem=None,
         out=None,
         seed=0,
-        deterministic=False,
     ):
         if domain not in DOMAINS:
             raise ConfigurationError(f"unknown domain {domain!r}")
@@ -92,23 +88,10 @@ class ExperimentConfig:
         self.problem = problem
         self.out = out
         self.seed = int(seed)
-        self.deterministic = bool(deterministic)
 
     @property
     def bc_kind(self):
         return "neumann" if self.method == "pefem-neumann" else "dirichlet"
-
-
-def thread_cap():
-    """Worker-count cap from PEFEM_THREADS; 0 means single-threaded."""
-    raw = os.environ.get("PEFEM_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"PEFEM_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ConfigurationError(f"PEFEM_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def parse_config_file(path):
@@ -128,24 +111,11 @@ def parse_config_file(path):
     return values
 
 
-def _parse_bool(value):
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {value!r}")
-
-
 def build_config(file_values, overrides):
     merged = dict(file_values)
     for key, value in overrides.items():
-        if value is not None and value is not False:
+        if value is not None:
             merged[key] = value
-    if "deterministic" in merged:
-        merged["deterministic"] = _parse_bool(merged["deterministic"])
     return ExperimentConfig(**merged)
 
 
@@ -163,16 +133,6 @@ def _assembler(config):
     if config.method == "pefem-neumann":
         return assemble_pefem_neumann
     return assemble_standard_dirichlet
-
-
-def random_polynomial(degree, rng):
-    """Random coefficients in [-1, 1] for total degree <= `degree`."""
-    coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
-    for i in range(degree + 1):
-        for j in range(degree + 1):
-            if i + j > degree:
-                coeffs[i, j] = 0.0
-    return Poly2D(coeffs)
 
 
 def run_study(config):
@@ -297,12 +257,10 @@ def cmd_run(args):
         "domain": args.domain,
         "out": args.out,
         "problem": args.problem,
-        "deterministic": args.deterministic,
         "seed": args.seed,
         "c_theta": args.c_theta,
     }
     config = build_config(file_values, overrides)
-    thread_cap()
     report = run_study(config)
     print(render_markdown(config, report))
     if config.out:
@@ -324,15 +282,15 @@ def cmd_patch(args):
         seed=args.seed,
     )
     mesh_for_level, geometry = _domain_tools(config.domain)
-    mesh = mesh_for_level(1)
-    space = FeSpace(mesh, config.k)
-    rng = np.random.default_rng(config.seed)
-    poly = random_polynomial(config.k, rng)
-    problem = polynomial_problem(poly, config.bc_kind)
-    u_h = solve(_assembler(config)(space, problem, geometry))
-    _, h1 = error_norms(space, u_h, problem.exact_u, problem.exact_grad)
-    scale = max(1.0, np.abs(poly.coeffs).sum())
-    ok = h1 <= PATCH_TOL * scale
+    space = FeSpace(mesh_for_level(1), config.k)
+    ok, h1 = patch_test(
+        space,
+        geometry,
+        _assembler(config),
+        lambda poly: polynomial_problem(poly, config.bc_kind),
+        config.k,
+        np.random.default_rng(config.seed),
+    )
     print(
         f"patch test: method={config.method} domain={config.domain} k={config.k} "
         f"seed={config.seed} h1_error={h1:.3e} -> {'PASS' if ok else 'FAIL'}"
@@ -365,7 +323,6 @@ def build_parser():
     run.add_argument("--method", choices=METHODS)
     run.add_argument("--domain", choices=DOMAINS)
     run.add_argument("--out", help="output directory for CSV/markdown")
-    run.add_argument("--deterministic", action="store_true")
     run.add_argument("--problem", choices=PROBLEMS, help="problem preset")
     run.add_argument("--seed", type=int, help="rng seed for patch-k studies")
     run.add_argument("--c-theta", dest="c_theta", type=float, help="constraint scaling constant")

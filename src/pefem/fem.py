@@ -144,18 +144,32 @@ def quadrature_for_degree(k):
 
 
 def affine_map(vertices):
-    """Affine map from the reference triangle onto a physical triangle.
+    """Affine maps from the reference triangle onto physical triangles.
 
-    Returns (B, b, det, Binv) with x = B xi + b and det = det(B) > 0.
+    `vertices` has shape (..., 3, 2).  Returns (B, b, det, Binv), with
+    shapes (..., 2, 2), (..., 2), (...) and (..., 2, 2), such that
+    x = B xi + b and det = det(B) > 0.  A triangle that is degenerate
+    relative to its size, or oriented clockwise, raises
+    SingularElementError naming its index in the flattened batch.
     """
     v = np.asarray(vertices, dtype=float)
-    B = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    size = max(np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[0]))
-    if abs(det) <= 1e-14 * size**2:
-        raise SingularElementError(f"degenerate triangle with vertices {v.tolist()}")
-    Binv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
-    return B, v[0], det, Binv
+    e1, e2 = v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]
+    B = np.stack([e1, e2], axis=-1)
+    det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
+    size = np.maximum(np.linalg.norm(e1, axis=-1), np.linalg.norm(e2, axis=-1))
+    degenerate = np.abs(det) <= 1e-14 * size**2
+    bad = degenerate | (det < 0)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        what = "degenerate" if degenerate.flat[i] else "clockwise"
+        raise SingularElementError(
+            f"element {i}: {what} triangle with vertices {v.reshape(-1, 3, 2)[i].tolist()}"
+        )
+    Binv = np.empty_like(B)
+    Binv[..., 0, 0], Binv[..., 0, 1] = B[..., 1, 1], -B[..., 0, 1]
+    Binv[..., 1, 0], Binv[..., 1, 1] = -B[..., 1, 0], B[..., 0, 0]
+    Binv /= det[..., None, None]
+    return B, v[..., 0, :], det, Binv
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,6 @@ class FeSpace:
                 local_kind.append(("edge", 2, k - j))
             else:
                 local_kind.append(("interior",))
-        self._local_kind = local_kind
         local_edge_vertices = ((0, 1), (1, 2), (2, 0))
 
         n_interior_seen = 0
@@ -230,11 +243,16 @@ class FeSpace:
         self.cell_dofs = cell_dofs
         self._edge_ids = edge_ids
 
+        B, b0, _det, _Binv = affine_map(mesh.vertices[mesh.triangles])
         coords = np.empty((self.n_dofs, 2))
-        for t, tri in enumerate(mesh.triangles):
-            B, b0, _det, _Binv = affine_map(mesh.vertices[tri])
-            coords[cell_dofs[t]] = self.ref.nodes @ B.T + b0
+        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(B, -1, -2) + b0[:, None, :]
         self.dof_coords = coords
+
+        # Local basis indices of the k + 1 nodes on each local edge.
+        i, j = np.array(self.ref.node_lattice).T
+        self.edge_nodes = np.array(
+            [np.flatnonzero(j == 0), np.flatnonzero(i + j == k), np.flatnonzero(i == 0)]
+        )
 
         bdofs = []
         seen = set()
@@ -261,28 +279,28 @@ class FeSpace:
             nv + eid * (k - 1) + s for s in range(k - 1)
         ] + [key[1]]
 
-    def local_edge_nodes(self, tri_idx, v0, v1):
-        """Local basis indices of `tri_idx` whose nodes lie on edge (v0, v1)."""
-        tri = self.mesh.triangles[tri_idx]
-        local_edge_vertices = ((0, 1), (1, 2), (2, 0))
-        which = None
-        for le, (a, b) in enumerate(local_edge_vertices):
-            if {tri[a], tri[b]} == {v0, v1}:
-                which = le
-                break
-        if which is None:
-            raise KeyError(f"edge ({v0}, {v1}) not on triangle {tri_idx}")
-        out = []
-        for loc, kind in enumerate(self._local_kind):
-            if kind[0] == "vertex" and tri[kind[1]] in (v0, v1):
-                out.append(loc)
-            elif kind[0] == "edge" and kind[1] == which:
-                out.append(loc)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # evaluation and assembly
+
+
+def eval_basis(space, elements, points):
+    """Basis values and physical gradients of element polynomials anywhere.
+
+    `elements` has shape (E,) and `points` shape (E, n, 2): the polynomials
+    of element elements[e] are evaluated at points[e], which may lie
+    outside the element.  Returns values (E, n, n_basis) and gradients
+    (E, n, n_basis, 2).
+    """
+    mesh = space.mesh
+    pts = np.asarray(points, dtype=float)
+    _B, b0, _det, Binv = affine_map(mesh.vertices[mesh.triangles[elements]])
+    ref_pts = (pts - b0[:, None, :]) @ np.swapaxes(Binv, -1, -2)
+    vals, grads = space.ref.eval(ref_pts.reshape(-1, 2))
+    n_elem, n_pts = pts.shape[:2]
+    nb = space.ref.n_basis
+    grads = (grads.reshape(n_elem, n_pts * nb, 2) @ Binv).reshape(n_elem, n_pts, nb, 2)
+    return vals.reshape(n_elem, n_pts, nb), grads
 
 
 def eval_fe(space, coefficients, element, points):
@@ -292,33 +310,13 @@ def eval_fe(space, coefficients, element, points):
     which may lie outside the element: this is the polynomial extension.
     Returns (values, gradients).
     """
-    mesh = space.mesh
-    B, b0, _det, Binv = affine_map(mesh.vertices[mesh.triangles[element]])
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ref_pts = (pts - b0) @ Binv.T
-    vals, grads = space.ref.eval(ref_pts)
+    vals, grads = eval_basis(space, [element], pts[None])
     local = np.asarray(coefficients)[space.cell_dofs[element]]
-    values = vals @ local
-    gradients = np.einsum("pbd,b->pd", grads @ Binv, local)
+    values = vals[0] @ local
+    gradients = np.einsum("pbd,b->pd", grads[0], local)
     scalar = np.asarray(points).ndim == 1
     return (values[0], gradients[0]) if scalar else (values, gradients)
-
-
-def _geometry_arrays(space):
-    """Vectorized affine data for all elements: B, det, Binv."""
-    v = space.mesh.vertices[space.mesh.triangles]
-    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    if np.any(det <= 0):
-        bad = int(np.argmin(det))
-        raise SingularElementError(f"element {bad} has nonpositive Jacobian")
-    Binv = np.empty_like(B)
-    Binv[:, 0, 0] = B[:, 1, 1]
-    Binv[:, 0, 1] = -B[:, 0, 1]
-    Binv[:, 1, 0] = -B[:, 1, 0]
-    Binv[:, 1, 1] = B[:, 0, 0]
-    Binv /= det[:, None, None]
-    return v[:, 0], B, det, Binv
 
 
 def assemble_operator(space, p=None, q=None, form="D", quadrature=None):
@@ -331,7 +329,7 @@ def assemble_operator(space, p=None, q=None, form="D", quadrature=None):
         raise ValueError("form must be 'D' or 'N'")
     rule = quadrature or quadrature_for_degree(space.degree)
     ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
-    origin, B, det, Binv = _geometry_arrays(space)
+    B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
     # Physical quadrature points, shape (n_elem, n_q, 2).
     x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
 
@@ -368,7 +366,7 @@ def assemble_load(space, f, quadrature=None):
     """Load vector with entries given by the volume quadrature of f."""
     rule = quadrature or quadrature_for_degree(space.degree)
     ref_vals, _ = space.ref.eval(rule.triangle_points)
-    origin, B, det, _Binv = _geometry_arrays(space)
+    B, origin, det, _Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
     x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
     fv = _eval_field(f, x, "source")
     w = rule.triangle_weights[None, :] * det[:, None]

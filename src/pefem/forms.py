@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import AssemblyError, ConfigurationError
-from .fem import quadrature_for_degree, assemble_operator, assemble_load
+from .fem import assemble_load, assemble_operator, eval_basis, quadrature_for_degree
 
 DEFAULT_C_THETA = 10.0
 
@@ -80,59 +80,96 @@ class LinearSystem:
     theta: float = 0.0
 
 
-class _BoundaryEdgeQuadrature:
-    """Per-boundary-edge quadrature data shared by the assemblers."""
+class _BoundaryEdges:
+    """Every boundary edge at once, in `mesh.boundary_edges` order.
 
-    def __init__(self, space, geometry, rule):
-        self.space = space
-        self.geometry = geometry
-        self.t = rule.segment_points
-        self.w = rule.segment_weights
+    Holds each edge's adjacent triangle, curve id and cell dofs, the local
+    basis indices of the k + 1 nodes on the edge, and their global dofs.
+    """
 
-    def __iter__(self):
-        space, mesh = self.space, self.space.mesh
-        for e_idx, (v0, v1, tri, cid) in enumerate(mesh.boundary_edges):
-            if not 0 <= tri < len(mesh.triangles):
-                raise AssemblyError(
-                    f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle"
-                )
-            a, b = mesh.vertices[v0], mesh.vertices[v1]
-            length = float(np.linalg.norm(b - a))
-            x_q = a + np.outer(self.t, b - a)
-            eta_q = self.geometry.closest_point(x_q, cid)
-            weights = self.w * length
-            local_edge = space.local_edge_nodes(tri, v0, v1)
-            yield _EdgeData(e_idx, v0, v1, tri, cid, x_q, eta_q, weights, local_edge)
+    def __init__(self, space):
+        mesh = space.mesh
+        table = np.array(mesh.boundary_edges, dtype=object).reshape(-1, 4)
+        v0, v1, tri = table[:, :3].astype(int).T
+        valid = (tri >= 0) & (tri < len(mesh.triangles))
+        corners = mesh.triangles[np.where(valid, tri, 0)]
+        on_edge = (corners == v0[:, None]) | (corners == v1[:, None])
+        valid &= on_edge.sum(axis=1) == 2
+        if not np.all(valid):
+            e = int(np.flatnonzero(~valid)[0])
+            raise AssemblyError(
+                f"boundary edge ({v0[e]},{v1[e]}) lacks a valid adjacent triangle"
+            )
+        self.n_dofs = space.n_dofs
+        self.ends = mesh.vertices[np.stack([v0, v1], axis=1)]
+        self.tri = tri
+        self.curve = table[:, 3]
+        self.cell_dofs = space.cell_dofs[tri]
+        # Local edge l joins local vertices l and l + 1 and faces vertex l + 2.
+        self.local = space.edge_nodes[(np.argmin(on_edge, axis=1) + 1) % 3]
+        self.dofs = np.take_along_axis(self.cell_dofs, self.local, axis=1)
+
+    def quadrature(self, geometry, rule):
+        """Segment quadrature points x (E, n_q, 2), their closest points
+        eta on the true boundary, and the weights (E, n_q)."""
+        a, b = self.ends[:, 0], self.ends[:, 1]
+        x = a[:, None, :] + rule.segment_points[None, :, None] * (b - a)[:, None, :]
+        weights = rule.segment_weights * np.linalg.norm(b - a, axis=1)[:, None]
+        return x, _per_curve(geometry.closest_point, x, self.curve), weights
+
+    def owners(self):
+        """The boundary dofs, sorted, and for each the first edge holding it."""
+        dofs, first = np.unique(self.dofs, return_index=True)
+        return dofs, first // self.dofs.shape[1]
+
+    def trace(self, values):
+        """Per-edge basis values (E, n, n_basis) restricted to the edge's
+        own nodes, i.e. the test traces (E, n, k + 1)."""
+        return np.take_along_axis(values, self.local[:, None, :], axis=2)
+
+    def matrix(self, blocks):
+        """Sparse matrix of per-edge blocks (E, k + 1, n_basis): rows are
+        the edge's dofs, columns the adjacent triangle's cell dofs."""
+        n_edge_nodes, nb = blocks.shape[1:]
+        rows = np.repeat(self.dofs, nb, axis=1).ravel()
+        cols = np.tile(self.cell_dofs, (1, n_edge_nodes)).ravel()
+        shape = (self.n_dofs, self.n_dofs)
+        return sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape)
+
+    def load(self, values):
+        """Per-edge test integrals (E, k + 1) summed into a dof vector."""
+        return np.bincount(self.dofs.ravel(), weights=values.ravel(), minlength=self.n_dofs)
 
 
-@dataclass
-class _EdgeData:
-    index: int
-    v0: int
-    v1: int
-    tri: int
-    curve_id: str
-    x: np.ndarray
-    eta: np.ndarray
-    weights: np.ndarray
-    local_edge: list
+def _per_curve(fn, points, curve):
+    """Apply fn(points, curve_id) once per boundary component.
+
+    `points` has shape (N, ..., 2) and `curve` holds the N curve ids.
+    """
+    out = np.empty_like(points)
+    for cid in np.unique(curve):
+        on = curve == cid
+        out[on] = fn(points[on].reshape(-1, 2), cid).reshape(points[on].shape)
+    return out
 
 
-def _basis_at(space, element, points):
-    """Element basis values/physical gradients at physical points."""
-    from .fem import affine_map
+def _replace_rows(K, F, rows, constraint_coo, rhs):
+    """Swap rows `rows` of the system (K, F) for constraint rows.
 
-    mesh = space.mesh
-    B, b0, _det, Binv = affine_map(mesh.vertices[mesh.triangles[element]])
-    ref_pts = (np.atleast_2d(points) - b0) @ Binv.T
-    vals, grads = space.ref.eval(ref_pts)
-    return vals, grads @ Binv
-
-
-def _drop_rows(matrix, rows_mask):
-    coo = matrix.tocoo()
-    keep = ~rows_mask[coo.row]
-    return coo.row[keep], coo.col[keep], coo.data[keep]
+    `constraint_coo` is zero outside `rows`; `rhs` holds the new right-hand
+    side, one entry per row in `rows`.  Returns (A, F) with A in CSR form.
+    """
+    K = K.tocoo()
+    replaced = np.zeros(K.shape[0], dtype=bool)
+    replaced[rows] = True
+    keep = ~replaced[K.row]
+    row = np.concatenate([K.row[keep], constraint_coo.row])
+    col = np.concatenate([K.col[keep], constraint_coo.col])
+    data = np.concatenate([K.data[keep], constraint_coo.data])
+    A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
+    F = F.copy()
+    F[rows] = rhs
+    return A, F
 
 
 def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
@@ -142,33 +179,21 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
         raise ConfigurationError("problem is not a Dirichlet problem")
     rule = quadrature_for_degree(space.degree)
     theta = c_theta / space.mesh.h
+    edges = _BoundaryEdges(space)
+    x, eta, weights = edges.quadrature(geometry, rule)
+
+    vals_x, _ = eval_basis(space, edges.tri, x)
+    vals_eta, _ = eval_basis(space, edges.tri, eta)
+    test = edges.trace(vals_x)  # zero off the edge
+    block = theta * np.einsum("eq,eqi,eqj->eij", weights, test, vals_eta)
+    g_vals = problem.g_D(eta[..., 0], eta[..., 1])
+    rhs = edges.load(theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
 
     stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
     F = assemble_load(space, problem.f, quadrature=rule)
-
-    is_boundary = np.zeros(space.n_dofs, dtype=bool)
-    is_boundary[space.boundary_dofs] = True
-    rows, cols, data = map(list, map(np.ndarray.tolist, _drop_rows(stiffness, is_boundary)))
-    F = F.copy()
-    F[is_boundary] = 0.0
-
-    for edge in _BoundaryEdgeQuadrature(space, geometry, rule):
-        vals_x, _ = _basis_at(space, edge.tri, edge.x)
-        vals_eta, _ = _basis_at(space, edge.tri, edge.eta)
-        gdofs = space.cell_dofs[edge.tri]
-        test = vals_x[:, edge.local_edge]  # traces; zero off the edge
-        block = theta * np.einsum("q,qi,qj->ij", edge.weights, test, vals_eta)
-        test_dofs = gdofs[edge.local_edge]
-        rows.extend(np.repeat(test_dofs, len(gdofs)).tolist())
-        cols.extend(np.tile(gdofs, len(test_dofs)).tolist())
-        data.extend(block.ravel().tolist())
-        g_vals = problem.g_D(edge.eta[:, 0], edge.eta[:, 1])
-        np.add.at(F, test_dofs, theta * np.einsum("q,qi,q->i", edge.weights, test, g_vals))
-
-    A = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
-    return LinearSystem(A, F, space.boundary_dofs.copy(), theta)
+    rows = space.boundary_dofs
+    A, F = _replace_rows(stiffness, F, rows, edges.matrix(block), rhs[rows])
+    return LinearSystem(A, F, rows.copy(), theta)
 
 
 def assemble_pefem_dirichlet_strong(space, problem, geometry):
@@ -177,35 +202,39 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
     rule = quadrature_for_degree(space.degree)
+    # Each boundary dof is constrained through one adjacent boundary edge.
+    edges = _BoundaryEdges(space)
+    dofs, owner = edges.owners()
+    tri = edges.tri[owner]
+    eta = _per_curve(geometry.closest_point, space.dof_coords[dofs], edges.curve[owner])
+    vals, _ = eval_basis(space, tri, eta[:, None, :])
+    nb = space.ref.n_basis
+    constraint = sparse.coo_matrix(
+        (vals.ravel(), (np.repeat(dofs, nb), space.cell_dofs[tri].ravel())),
+        shape=(space.n_dofs, space.n_dofs),
+    )
+
     stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
     F = assemble_load(space, problem.f, quadrature=rule)
-
-    # Each boundary dof is constrained through one adjacent boundary edge.
-    owner = {}
-    for v0, v1, tri, cid in space.mesh.boundary_edges:
-        for d in space.edge_dofs(v0, v1):
-            owner.setdefault(d, (tri, cid))
-
-    is_boundary = np.zeros(space.n_dofs, dtype=bool)
-    is_boundary[space.boundary_dofs] = True
-    rows, cols, data = map(list, map(np.ndarray.tolist, _drop_rows(stiffness, is_boundary)))
-    F = F.copy()
-
-    for dof in space.boundary_dofs:
-        tri, cid = owner[dof]
-        xi = space.dof_coords[dof]
-        eta = geometry.closest_point(xi, cid)
-        vals, _ = _basis_at(space, tri, eta[None, :])
-        gdofs = space.cell_dofs[tri]
-        rows.extend([int(dof)] * len(gdofs))
-        cols.extend(gdofs.tolist())
-        data.extend(vals[0].tolist())
-        F[dof] = problem.g_D(eta[0], eta[1])
-
-    A = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
+    A, F = _replace_rows(stiffness, F, dofs, constraint, problem.g_D(eta[:, 0], eta[:, 1]))
     return LinearSystem(A, F, space.boundary_dofs.copy())
+
+
+def _flux_correction(space, problem, geometry, edges, x, eta, weights):
+    """Per-edge blocks (E, k + 1, n_basis) of the Neumann correction tau,
+    with the exact normals at eta and the test traces at x."""
+    vals_x, grads_x = eval_basis(space, edges.tri, x)
+    _vals_eta, grads_eta = eval_basis(space, edges.tri, eta)
+    n_true = _per_curve(geometry.unit_normal, eta, edges.curve)
+    n_h = space.mesh.edge_normals
+    p_eta = problem.p(eta[..., 0], eta[..., 1])
+    p_x = problem.p(x[..., 0], x[..., 1])
+    # Fluxes per quadrature point and trial function.
+    flux_ext = p_eta[..., None] * np.einsum("eqjd,eqd->eqj", grads_eta, n_true)
+    flux_std = p_x[..., None] * np.einsum("eqjd,ed->eqj", grads_x, n_h)
+    test = edges.trace(vals_x)
+    block = np.einsum("eq,eqi,eqj->eij", weights, test, flux_ext - flux_std)
+    return block, n_true, test
 
 
 def assemble_pefem_neumann(space, problem, geometry):
@@ -219,61 +248,23 @@ def assemble_pefem_neumann(space, problem, geometry):
     if problem.bc_kind != "neumann":
         raise ConfigurationError("problem is not a Neumann problem")
     rule = quadrature_for_degree(space.degree)
+    edges = _BoundaryEdges(space)
+    x, eta, weights = edges.quadrature(geometry, rule)
+    block, n_true, test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
+    g_vals = problem.g_N(eta[..., 0], eta[..., 1], n_true[..., 0], n_true[..., 1])
+
     A = assemble_operator(space, p=problem.p, q=problem.q, form="N", quadrature=rule)
     F = assemble_load(space, problem.f, quadrature=rule)
-
-    rows, cols, data = [], [], []
-    normals_h = space.mesh.edge_normals
-    for edge in _BoundaryEdgeQuadrature(space, geometry, rule):
-        vals_x, grads_x = _basis_at(space, edge.tri, edge.x)
-        _vals_eta, grads_eta = _basis_at(space, edge.tri, edge.eta)
-        n_true = geometry.unit_normal(edge.eta, edge.curve_id)
-        n_h = normals_h[edge.index]
-        p_eta = problem.p(edge.eta[:, 0], edge.eta[:, 1])
-        p_x = problem.p(edge.x[:, 0], edge.x[:, 1])
-        # Fluxes per quadrature point and trial function.
-        flux_ext = p_eta[:, None] * np.einsum("qjd,qd->qj", grads_eta, n_true)
-        flux_std = p_x[:, None] * (grads_x @ n_h)
-        test = vals_x[:, edge.local_edge]
-        block = np.einsum("q,qi,qj->ij", edge.weights, test, flux_ext - flux_std)
-        gdofs = space.cell_dofs[edge.tri]
-        test_dofs = gdofs[edge.local_edge]
-        rows.extend(np.repeat(test_dofs, len(gdofs)).tolist())
-        cols.extend(np.tile(gdofs, len(test_dofs)).tolist())
-        data.extend(block.ravel().tolist())
-        g_vals = problem.g_N(edge.eta[:, 0], edge.eta[:, 1], n_true[:, 0], n_true[:, 1])
-        np.add.at(F, test_dofs, np.einsum("q,qi,q->i", edge.weights, test, g_vals))
-
-    tau = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    )
-    return LinearSystem((A + tau).tocsr(), F, space.boundary_dofs.copy())
+    F += edges.load(np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
+    return LinearSystem((A + edges.matrix(block)).tocsr(), F, space.boundary_dofs.copy())
 
 
 def assemble_tau_neumann(space, problem, geometry):
     """The boundary flux-correction matrix alone (diagnostic)."""
-    rule = quadrature_for_degree(space.degree)
-    rows, cols, data = [], [], []
-    normals_h = space.mesh.edge_normals
-    for edge in _BoundaryEdgeQuadrature(space, geometry, rule):
-        vals_x, grads_x = _basis_at(space, edge.tri, edge.x)
-        _ve, grads_eta = _basis_at(space, edge.tri, edge.eta)
-        n_true = geometry.unit_normal(edge.eta, edge.curve_id)
-        n_h = normals_h[edge.index]
-        p_eta = problem.p(edge.eta[:, 0], edge.eta[:, 1])
-        p_x = problem.p(edge.x[:, 0], edge.x[:, 1])
-        flux_ext = p_eta[:, None] * np.einsum("qjd,qd->qj", grads_eta, n_true)
-        flux_std = p_x[:, None] * (grads_x @ n_h)
-        test = vals_x[:, edge.local_edge]
-        block = np.einsum("q,qi,qj->ij", edge.weights, test, flux_ext - flux_std)
-        gdofs = space.cell_dofs[edge.tri]
-        test_dofs = gdofs[edge.local_edge]
-        rows.extend(np.repeat(test_dofs, len(gdofs)).tolist())
-        cols.extend(np.tile(gdofs, len(test_dofs)).tolist())
-        data.extend(block.ravel().tolist())
-    return sparse.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
+    edges = _BoundaryEdges(space)
+    x, eta, weights = edges.quadrature(geometry, quadrature_for_degree(space.degree))
+    block, _n_true, _test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
+    return edges.matrix(block).tocsr()
 
 
 def assemble_standard_dirichlet(space, problem, geometry=None):
@@ -291,29 +282,16 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
         raise ConfigurationError("the baseline needs the exact solution")
     datum = problem.g_D if problem.g_D is not None else problem.exact_u
     rule = quadrature_for_degree(space.degree)
+    edges = _BoundaryEdges(space)
+    dofs, owner = edges.owners()
+    xi = space.dof_coords[dofs]
+    if geometry is not None:
+        xi = _per_curve(geometry.closest_point, xi, edges.curve[owner])
+    identity = sparse.coo_matrix(
+        (np.ones(len(dofs)), (dofs, dofs)), shape=(space.n_dofs, space.n_dofs)
+    )
+
     stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
     F = assemble_load(space, problem.f, quadrature=rule)
-
-    owner = {}
-    if geometry is not None:
-        for v0, v1, _tri, cid in space.mesh.boundary_edges:
-            for d in space.edge_dofs(v0, v1):
-                owner.setdefault(d, cid)
-
-    is_boundary = np.zeros(space.n_dofs, dtype=bool)
-    is_boundary[space.boundary_dofs] = True
-    rows, cols, data = map(list, map(np.ndarray.tolist, _drop_rows(stiffness, is_boundary)))
-    F = F.copy()
-    for dof in space.boundary_dofs:
-        rows.append(int(dof))
-        cols.append(int(dof))
-        data.append(1.0)
-        xi = space.dof_coords[dof]
-        if geometry is not None:
-            xi = geometry.closest_point(xi, owner[dof])
-        F[dof] = datum(xi[0], xi[1])
-
-    A = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
+    A, F = _replace_rows(stiffness, F, dofs, identity, datum(xi[:, 0], xi[:, 1]))
     return LinearSystem(A, F, space.boundary_dofs.copy())

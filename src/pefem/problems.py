@@ -44,6 +44,16 @@ class Poly2D:
         return Poly2D(out)
 
 
+def random_polynomial(degree, rng):
+    """Random coefficients in [-1, 1] for total degree <= `degree`."""
+    coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
+    for i in range(degree + 1):
+        for j in range(degree + 1):
+            if i + j > degree:
+                coeffs[i, j] = 0.0
+    return Poly2D(coeffs)
+
+
 def _one(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
 

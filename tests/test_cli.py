@@ -11,7 +11,6 @@ from pefem.cli import (
     parse_config_file,
     render_csv,
     run_study,
-    thread_cap,
 )
 from pefem.errors import ConfigurationError
 
@@ -62,15 +61,6 @@ class TestConfig:
     def test_default_problem_follows_domain(self):
         assert ExperimentConfig(domain="disk").problem == "convex-cos"
         assert ExperimentConfig(domain="square_hole").problem == "nonconvex-rational"
-
-    def test_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("PEFEM_THREADS", "0")
-        assert thread_cap() == 0
-        monkeypatch.setenv("PEFEM_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("PEFEM_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            thread_cap()
 
 
 class TestRunStudy:
@@ -143,7 +133,6 @@ class TestOutputs:
             "1",
             "--levels",
             "2",
-            "--deterministic",
         ]
         assert main(args + ["--out", str(tmp_path / "r1")]) == 0
         assert main(args + ["--out", str(tmp_path / "r2")]) == 0

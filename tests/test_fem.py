@@ -17,7 +17,7 @@ from pefem.fem import (
     segment_quadrature,
     triangle_quadrature,
 )
-from pefem.mesh import generate_disk_mesh, generate_square_mesh
+from pefem.mesh import Mesh, generate_disk_mesh, generate_square_mesh
 
 
 class TestReferenceElement:
@@ -105,6 +105,15 @@ class TestAffineMap:
     def test_degenerate_triangle(self):
         with pytest.raises(SingularElementError):
             affine_map([[0, 0], [1, 1], [2, 2]])
+
+    def test_clockwise_triangle_names_element(self):
+        with pytest.raises(SingularElementError, match="element 0: clockwise"):
+            affine_map([[0, 0], [0, 1], [1, 0]])
+        mesh = generate_square_mesh(2)
+        triangles = mesh.triangles.copy()
+        triangles[3] = triangles[3, [0, 2, 1]]
+        with pytest.raises(SingularElementError, match="element 3: clockwise"):
+            FeSpace(Mesh(mesh.vertices, triangles, mesh.boundary_edges), 1)
 
 
 class TestFeSpace:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pefem.analysis import error_norms, patch_test, solve
-from pefem.errors import ConfigurationError
-from pefem.fem import FeSpace, segment_quadrature
+from pefem.errors import AssemblyError, ConfigurationError
+from pefem.fem import FeSpace, eval_fe, segment_quadrature
 from pefem.forms import (
     ProblemSpec,
     assemble_pefem_dirichlet,
@@ -16,13 +16,43 @@ from pefem.forms import (
     verify_problem_consistency,
 )
 from pefem.geometry import disk_geometry, square_geometry, square_hole_geometry
-from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh, generate_square_mesh
+from pefem.mesh import (
+    Mesh,
+    generate_disk_mesh,
+    generate_square_hole_mesh,
+    generate_square_mesh,
+)
 from pefem.problems import (
     Poly2D,
     cosine_problem,
     polynomial_problem,
     rational_problem,
 )
+
+
+DOMAINS = {
+    "square": lambda: (generate_square_mesh(2), square_geometry(), 2),
+    "disk-k3": lambda: (generate_disk_mesh(16), disk_geometry(), 3),
+    "hole-k2": lambda: (generate_square_hole_mesh(1), square_hole_geometry(), 2),
+}
+
+
+def _edge_quadrature(space, v0, v1):
+    """Segment quadrature points and weights on the mesh edge (v0, v1)."""
+    a, b = space.mesh.vertices[v0], space.mesh.vertices[v1]
+    t, w = segment_quadrature(space.degree + 2)
+    return a + np.outer(t, b - a), w * np.linalg.norm(b - a)
+
+
+def _basis_by_unit_vectors(space, tri, points):
+    """Values (n, n_basis) and gradients (n, n_basis, 2) of triangle
+    `tri`'s basis at points, one eval_fe call per cell dof."""
+    out = []
+    for d in space.cell_dofs[tri]:
+        unit = np.zeros(space.n_dofs)
+        unit[d] = 1.0
+        out.append(eval_fe(space, unit, tri, points))
+    return np.stack([v for v, _ in out], axis=1), np.stack([g for _, g in out], axis=1)
 
 
 class TestProblemSpec:
@@ -61,41 +91,35 @@ class TestWeakDirichlet:
         with pytest.raises(ConfigurationError):
             assemble_pefem_dirichlet(space, cosine_problem("neumann"), disk_geometry())
 
-    def test_constraint_rows_reduce_to_trace_mass_on_straight_mesh(self):
-        # With the identity projection the boundary rows are theta times
-        # the boundary mass between edge traces and all element basis
-        # functions; cross-check one edge against direct segment quadrature.
-        mesh = generate_square_mesh(2)
-        space = FeSpace(mesh, 2)
-        problem = polynomial_problem(Poly2D([[0.0, 0.0], [1.0, 0.0]]), "dirichlet")
-        system = assemble_pefem_dirichlet(space, problem, square_geometry())
+    @pytest.mark.parametrize("case", ["square", "disk-k3", "hole-k2"])
+    def test_constraint_rows_match_per_edge_quadrature(self, case):
+        # The boundary rows are theta times the boundary mass between the
+        # edge traces at x and the element basis at eta(x), summed over the
+        # edges holding each dof; on the square eta is the identity.
+        mesh, geo, k = DOMAINS[case]()
+        space = FeSpace(mesh, k)
+        problem = cosine_problem("dirichlet")
+        system = assemble_pefem_dirichlet(space, problem, geo)
         theta = system.theta
         assert theta > 0
 
-        v0, v1, tri, _cid = mesh.boundary_edges[0]
-        a, b = mesh.vertices[v0], mesh.vertices[v1]
-        length = np.linalg.norm(b - a)
-        t, w = segment_quadrature(space.degree + 2)
-        pts = a + np.outer(t, b - a)
-        from pefem.forms import _basis_at
-
-        vals, _ = _basis_at(space, tri, pts)
-        edge_locals = space.local_edge_nodes(tri, v0, v1)
-        gdofs = space.cell_dofs[tri]
-        direct = theta * np.einsum(
-            "q,qi,qj->ij", w * length, vals[:, edge_locals], vals
-        )
-        # Vertex rows also accumulate the neighboring edge's constraint;
-        # only the edge-interior dof row is attributable to this edge alone.
-        edge_only = [
-            i
-            for i, loc in enumerate(edge_locals)
-            if space._local_kind[loc][0] == "edge"
-        ]
-        assert edge_only
-        rows = gdofs[[edge_locals[i] for i in edge_only]]
-        block = np.asarray(system.A[np.ix_(rows, gdofs)].todense())
-        assert np.abs(block - direct[edge_only]).max() <= 1e-12 * theta
+        want_A = np.zeros((space.n_dofs, space.n_dofs))
+        want_F = np.zeros(space.n_dofs)
+        for v0, v1, tri, cid in mesh.boundary_edges:
+            x, weights = _edge_quadrature(space, v0, v1)
+            eta = geo.closest_point(x, cid)
+            cell = list(space.cell_dofs[tri])
+            vals_x, _ = _basis_by_unit_vectors(space, tri, x)
+            vals_eta, _ = _basis_by_unit_vectors(space, tri, eta)
+            g = problem.g_D(eta[:, 0], eta[:, 1])
+            for d in space.edge_dofs(v0, v1):
+                test = weights * vals_x[:, cell.index(d)]
+                want_A[d, cell] += theta * test @ vals_eta
+                want_F[d] += theta * test @ g
+        rows = space.boundary_dofs
+        got = system.A[rows].toarray()
+        assert np.abs(got - want_A[rows]).max() <= 1e-12 * np.abs(want_A).max()
+        assert np.abs(system.F[rows] - want_F[rows]).max() <= 1e-12 * np.abs(want_F).max()
 
     def test_theta_invariance(self):
         mesh = generate_disk_mesh(16)
@@ -169,6 +193,32 @@ class TestNeumann:
         tau = assemble_tau_neumann(space, problem, square_geometry())
         assert tau.nnz == 0 or np.abs(tau.data).max() <= 1e-15
 
+    def test_correction_edge_block_matches_per_edge_quadrature(self):
+        # tau's rows for one edge's interior dofs hold that edge's block
+        # alone: the extended flux at eta minus the discrete flux at x,
+        # against the edge traces.
+        mesh = generate_disk_mesh(16)
+        space = FeSpace(mesh, 3)
+        problem = cosine_problem("neumann")
+        geo = disk_geometry()
+        tau = assemble_tau_neumann(space, problem, geo).toarray()
+
+        v0, v1, tri, cid = mesh.boundary_edges[0]
+        x, weights = _edge_quadrature(space, v0, v1)
+        eta = geo.closest_point(x, cid)
+        vals_x, grads_x = _basis_by_unit_vectors(space, tri, x)
+        _, grads_eta = _basis_by_unit_vectors(space, tri, eta)
+        flux_ext = problem.p(eta[:, 0], eta[:, 1])[:, None] * np.einsum(
+            "qjd,qd->qj", grads_eta, geo.unit_normal(eta, cid)
+        )
+        flux_std = problem.p(x[:, 0], x[:, 1])[:, None] * (grads_x @ mesh.edge_normals[0])
+        cell = list(space.cell_dofs[tri])
+        edge_interior = space.edge_dofs(v0, v1)[1:-1]
+        assert edge_interior
+        for d in edge_interior:
+            want = (weights * vals_x[:, cell.index(d)]) @ (flux_ext - flux_std)
+            assert np.abs(tau[d, cell] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_system_matches_operator_plus_correction(self):
         from pefem.fem import assemble_operator
 
@@ -181,6 +231,28 @@ class TestNeumann:
         tau = assemble_tau_neumann(space, problem, geo)
         diff = np.abs((system.A - N - tau).toarray()).max()
         assert diff <= 1e-12 * np.abs(N.toarray()).max()
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            lambda s, g: assemble_pefem_dirichlet(s, cosine_problem("dirichlet"), g),
+            lambda s, g: assemble_pefem_dirichlet_strong(s, cosine_problem("dirichlet"), g),
+            lambda s, g: assemble_pefem_neumann(s, cosine_problem("neumann"), g),
+            lambda s, g: assemble_tau_neumann(s, cosine_problem("neumann"), g),
+            lambda s, g: assemble_standard_dirichlet(s, cosine_problem("dirichlet"), g),
+        ],
+        ids=["weak", "strong", "neumann", "tau", "standard"],
+    )
+    def test_out_of_range_adjacent_triangle(self, assemble):
+        mesh = generate_square_mesh(2)
+        edges = list(mesh.boundary_edges)
+        v0, v1, _tri, cid = edges[3]
+        edges[3] = (v0, v1, len(mesh.triangles), cid)
+        space = FeSpace(Mesh(mesh.vertices, mesh.triangles, edges), 2)
+        with pytest.raises(AssemblyError, match="lacks a valid adjacent triangle"):
+            assemble(space, square_geometry())
 
 
 class TestStandardBaseline:
