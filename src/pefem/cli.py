@@ -24,8 +24,9 @@ from .forms import (
     assemble_pefem_dirichlet_strong,
     assemble_pefem_neumann,
     assemble_standard_dirichlet,
+    verify_problem_consistency,
 )
-from .geometry import disk_geometry, geometric_gap, square_hole_geometry
+from .geometry import _per_curve, disk_geometry, geometric_gap, square_hole_geometry
 from .mesh import generate_disk_mesh, generate_square_hole_mesh, validate, write_mesh
 from .problems import polynomial_problem, preset_problem, random_polynomial
 
@@ -135,6 +136,17 @@ def _assembler(config):
     return assemble_standard_dirichlet
 
 
+def _preflight(problem, mesh, geometry):
+    """Check the boundary data against the exact solution at the boundary
+    vertices, which lie on the true curve (with its normals for Neumann)."""
+    ends, _tri, curve = mesh.boundary_table
+    points = mesh.vertices[ends]
+    normals = None
+    if problem.bc_kind == "neumann":
+        normals = _per_curve(geometry.unit_normal, points, curve).reshape(-1, 2)
+    verify_problem_consistency(problem, points.reshape(-1, 2), normals)
+
+
 def run_study(config):
     """Solve the configured problem on every refinement level.
 
@@ -153,6 +165,7 @@ def run_study(config):
                 problem = polynomial_problem(random_polynomial(config.k, rng), config.bc_kind)
             else:
                 problem = preset_problem(config.problem, config.bc_kind)
+            _preflight(problem, mesh, geometry)
             u_h = solve(assemble(space, problem, geometry))
             l2, h1 = error_norms(space, u_h, problem.exact_u, problem.exact_grad)
             delta = geometric_gap(mesh, geometry)

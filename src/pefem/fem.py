@@ -32,14 +32,9 @@ class ReferenceElement:
             raise ValueError("degree must be between 1 and 4")
         self.degree = degree
         self.exponents = [
-            (a, b) for total in range(degree + 1) for a in range(total, -1, -1)
-            for b in (total - a,)
+            (a, total - a) for total in range(degree + 1) for a in range(total, -1, -1)
         ]
-        lattice = []
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                lattice.append((i, j))
-        # Order nodes: vertices, then edge nodes, then interior (see below).
+        lattice = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
         self.node_lattice = lattice
         self.nodes = np.array(lattice, dtype=float) / degree
         vand = self._monomials(self.nodes)
@@ -117,13 +112,8 @@ def triangle_quadrature(exact_degree):
     x_gj, w_gj = roots_jacobi(n, 1.0, 0.0)
     x_gj = 0.5 * (x_gj + 1.0)
     w_gj = 0.25 * w_gj
-    pts = []
-    wts = []
-    for xv, wv in zip(x_gj, w_gj):
-        for xu, wu in zip(x_gl, w_gl):
-            pts.append((xu * (1.0 - xv), xv))
-            wts.append(wu * wv)
-    return np.array(pts), np.array(wts)
+    (xu, xv), (wu, wv) = np.meshgrid(x_gl, x_gj), np.meshgrid(w_gl, w_gj)
+    return np.column_stack([(xu * (1.0 - xv)).ravel(), xv.ravel()]), (wu * wv).ravel()
 
 
 def segment_quadrature(n_points):
@@ -189,95 +179,62 @@ class FeSpace:
         self.degree = degree
         self.ref = reference_element(degree)
         k = degree
-        nv = len(mesh.vertices)
-
-        edge_ids = {}
-        for tri in mesh.triangles:
-            for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(u, v), max(u, v))
-                if key not in edge_ids:
-                    edge_ids[key] = len(edge_ids)
-        ne = len(edge_ids)
+        nv, nt = len(mesh.vertices), len(mesh.triangles)
+        table = mesh.edge_table
+        ne = len(table.edges)
         n_int = (k - 1) * (k - 2) // 2
-        self.n_dofs = nv + (k - 1) * ne + n_int * len(mesh.triangles)
-
-        # Local classification of reference lattice nodes.
-        # Local edges: 0 = (v0,v1) [j==0], 1 = (v1,v2) [i+j==k], 2 = (v2,v0) [i==0].
-        local_kind = []
-        for i, j in self.ref.node_lattice:
-            if (i, j) == (0, 0):
-                local_kind.append(("vertex", 0))
-            elif (i, j) == (k, 0):
-                local_kind.append(("vertex", 1))
-            elif (i, j) == (0, k):
-                local_kind.append(("vertex", 2))
-            elif j == 0:
-                local_kind.append(("edge", 0, i))
-            elif i + j == k:
-                local_kind.append(("edge", 1, j))
-            elif i == 0:
-                local_kind.append(("edge", 2, k - j))
-            else:
-                local_kind.append(("interior",))
-        local_edge_vertices = ((0, 1), (1, 2), (2, 0))
-
-        n_interior_seen = 0
-        cell_dofs = np.empty((len(mesh.triangles), self.ref.n_basis), dtype=int)
-        for t, tri in enumerate(mesh.triangles):
-            n_local_interior = 0
-            for loc, kind in enumerate(local_kind):
-                if kind[0] == "vertex":
-                    cell_dofs[t, loc] = tri[kind[1]]
-                elif kind[0] == "edge":
-                    le, s = kind[1], kind[2]
-                    a, b = tri[local_edge_vertices[le][0]], tri[local_edge_vertices[le][1]]
-                    key = (min(a, b), max(a, b))
-                    pos = s if a < b else k - s
-                    cell_dofs[t, loc] = nv + edge_ids[key] * (k - 1) + (pos - 1)
-                else:
-                    cell_dofs[t, loc] = (
-                        nv + (k - 1) * ne + t * n_int + n_local_interior
-                    )
-                    n_local_interior += 1
-            n_interior_seen += n_local_interior
-        self.cell_dofs = cell_dofs
-        self._edge_ids = edge_ids
-
-        B, b0, _det, _Binv = affine_map(mesh.vertices[mesh.triangles])
-        coords = np.empty((self.n_dofs, 2))
-        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(B, -1, -2) + b0[:, None, :]
-        self.dof_coords = coords
+        self.n_dofs = nv + (k - 1) * ne + n_int * nt
 
         # Local basis indices of the k + 1 nodes on each local edge.
+        # Local edges: 0 = (v0,v1) [j==0], 1 = (v1,v2) [i+j==k], 2 = (v2,v0) [i==0].
         i, j = np.array(self.ref.node_lattice).T
         self.edge_nodes = np.array(
             [np.flatnonzero(j == 0), np.flatnonzero(i + j == k), np.flatnonzero(i == 0)]
         )
+        # k times the barycentric coordinates of each node: node n lies on
+        # local edge l at position bary[n, l + 1] from its first vertex.
+        bary = np.column_stack([k - i - j, i, j])
+        inner = self.edge_nodes[:, 1:-1]
+        pos = bary[inner, [[1], [2], [0]]]  # (3, k - 1)
 
-        bdofs = []
-        seen = set()
-        for v0, v1, tri_idx, _cid in mesh.boundary_edges:
-            for d in self.edge_dofs(v0, v1):
-                if d not in seen:
-                    seen.add(d)
-                    bdofs.append(d)
-        self.boundary_dofs = np.array(sorted(bdofs), dtype=int)
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.boundary_dofs] = False
-        self.interior_dofs = np.nonzero(mask)[0]
+        tris = mesh.triangles
+        cell_dofs = np.empty((nt, self.ref.n_basis), dtype=int)
+        cell_dofs[:, np.argmax(bary == k, axis=0)] = tris
+        # Edge dofs run from the edge's lower-numbered vertex.
+        forward = (tris < np.roll(tris, -1, axis=1))[..., None]
+        along = np.where(forward, pos, k - pos)
+        cell_dofs[:, inner] = nv + table.tri_edges[..., None] * (k - 1) + along - 1
+        interior = np.flatnonzero(np.all(bary > 0, axis=1))
+        cell_dofs[:, interior] = nv + (k - 1) * ne + np.arange(nt * n_int).reshape(nt, n_int)
+        self.cell_dofs = cell_dofs
+
+        B, b0, _det, _Binv = affine_map(mesh.vertices[tris])
+        coords = np.empty((self.n_dofs, 2))
+        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(B, -1, -2) + b0[:, None, :]
+        self.dof_coords = coords
+
+        ends, _tri, _curve = mesh.boundary_table
+        first = self._edge_dof(ends[:, 0], ends[:, 1])
+        self.boundary_dofs = np.unique(
+            np.concatenate([ends.ravel(), (first[:, None] + np.arange(k - 1)).ravel()])
+        )
+        self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
+
+    def _edge_dof(self, v0, v1):
+        """First interior dof of each mesh edge (v0, v1); KeyError for a
+        pair that is not an edge."""
+        v0, v1 = np.atleast_1d(v0, v1)
+        eid = self.mesh.edge_table.find(v0, v1)
+        if np.any(eid < 0):
+            bad = np.argmin(eid)
+            raise KeyError(f"({v0[bad]}, {v1[bad]}) is not a mesh edge")
+        return len(self.mesh.vertices) + eid * (self.degree - 1)
 
     def edge_dofs(self, v0, v1):
         """Global dofs whose nodes lie on the mesh edge (v0, v1), in order
         from the edge's lower-numbered vertex."""
-        k = self.degree
-        key = (min(v0, v1), max(v0, v1))
-        eid = self._edge_ids.get(key)
-        if eid is None:
-            raise KeyError(f"({v0}, {v1}) is not a mesh edge")
-        nv = len(self.mesh.vertices)
-        return [key[0]] + [
-            nv + eid * (k - 1) + s for s in range(k - 1)
-        ] + [key[1]]
+        first = int(self._edge_dof(v0, v1)[0])
+        return [min(v0, v1), *range(first, first + self.degree - 1), max(v0, v1)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import scipy.sparse as sparse
 
 from .errors import AssemblyError, ConfigurationError
 from .fem import assemble_load, assemble_operator, eval_basis, quadrature_for_degree
+from .geometry import _per_curve
 
 DEFAULT_C_THETA = 10.0
 
@@ -89,24 +90,19 @@ class _BoundaryEdges:
 
     def __init__(self, space):
         mesh = space.mesh
-        table = np.array(mesh.boundary_edges, dtype=object).reshape(-1, 4)
-        v0, v1, tri = table[:, :3].astype(int).T
+        ends, tri, self.curve = mesh.boundary_table
         valid = (tri >= 0) & (tri < len(mesh.triangles))
-        corners = mesh.triangles[np.where(valid, tri, 0)]
-        on_edge = (corners == v0[:, None]) | (corners == v1[:, None])
-        valid &= on_edge.sum(axis=1) == 2
+        eid = mesh.edge_table.find(ends[:, 0], ends[:, 1])
+        is_local = mesh.edge_table.tri_edges[np.where(valid, tri, 0)] == eid[:, None]
+        valid &= is_local.any(axis=1)
         if not np.all(valid):
-            e = int(np.flatnonzero(~valid)[0])
-            raise AssemblyError(
-                f"boundary edge ({v0[e]},{v1[e]}) lacks a valid adjacent triangle"
-            )
+            v0, v1 = ends[np.argmin(valid)]
+            raise AssemblyError(f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle")
         self.n_dofs = space.n_dofs
-        self.ends = mesh.vertices[np.stack([v0, v1], axis=1)]
+        self.ends = mesh.vertices[ends]
         self.tri = tri
-        self.curve = table[:, 3]
         self.cell_dofs = space.cell_dofs[tri]
-        # Local edge l joins local vertices l and l + 1 and faces vertex l + 2.
-        self.local = space.edge_nodes[(np.argmin(on_edge, axis=1) + 1) % 3]
+        self.local = space.edge_nodes[np.argmax(is_local, axis=1)]
         self.dofs = np.take_along_axis(self.cell_dofs, self.local, axis=1)
 
     def quadrature(self, geometry, rule):
@@ -139,18 +135,6 @@ class _BoundaryEdges:
     def load(self, values):
         """Per-edge test integrals (E, k + 1) summed into a dof vector."""
         return np.bincount(self.dofs.ravel(), weights=values.ravel(), minlength=self.n_dofs)
-
-
-def _per_curve(fn, points, curve):
-    """Apply fn(points, curve_id) once per boundary component.
-
-    `points` has shape (N, ..., 2) and `curve` holds the N curve ids.
-    """
-    out = np.empty_like(points)
-    for cid in np.unique(curve):
-        on = curve == cid
-        out[on] = fn(points[on].reshape(-1, 2), cid).reshape(points[on].shape)
-    return out
 
 
 def _replace_rows(K, F, rows, constraint_coo, rhs):

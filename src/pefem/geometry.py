@@ -22,6 +22,9 @@ NEWTON_MAX_ITER = 50
 #: tolerance for "the point lies on the boundary".
 ON_BOUNDARY_TOL = 1e-12
 
+#: samples per boundary edge, endpoints included, in geometric_gap.
+GAP_SAMPLES_PER_EDGE = 33
+
 
 class BoundaryComponent:
     """One connected piece of the true boundary.
@@ -74,8 +77,9 @@ def square_component(center, half_width):
     """Axis-aligned square boundary, domain inside; identity projection.
 
     The level set is the max-norm distance to the center minus the half
-    width; its gradient is undefined at corners, but normals are only ever
-    requested at edge-interior quadrature points.
+    width.  Its gradient is undefined at corners, where the normal of the
+    vertical side is returned; the assemblers request normals only at
+    edge-interior quadrature points.
     """
     cx, cy = float(center[0]), float(center[1])
     a = float(half_width)
@@ -185,21 +189,31 @@ class BoundaryGeometry:
         return n[0] if np.asarray(x).ndim == 1 else n
 
 
-def geometric_gap(mesh, geometry, samples_per_edge=33):
+def geometric_gap(mesh, geometry):
     """Largest distance between the polygonal and true boundaries.
 
     Samples each boundary edge uniformly (endpoints and midpoint included)
     and maximizes |eta(xi) - xi| over all samples.
     """
-    t = np.linspace(0.0, 1.0, samples_per_edge)
-    gap = 0.0
-    for v0, v1, _tri, curve_id in mesh.boundary_edges:
-        a = mesh.vertices[v0]
-        b = mesh.vertices[v1]
-        pts = a + np.outer(t, b - a)
-        eta = geometry.closest_point(pts, curve_id)
-        gap = max(gap, float(np.max(np.linalg.norm(eta - pts, axis=1))))
-    return gap
+    ends, _tri, curve = mesh.boundary_table
+    a, b = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
+    t = np.linspace(0.0, 1.0, GAP_SAMPLES_PER_EDGE)
+    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    eta = _per_curve(geometry.closest_point, pts, curve)
+    return float(np.max(np.linalg.norm(eta - pts, axis=-1), initial=0.0))
+
+
+def _per_curve(fn, points, curve):
+    """Apply fn(points, curve_id) once per boundary component: points
+    (N, ..., 2) on curves (N,) map to one point or scalar each."""
+    out = None
+    for cid in np.unique(curve):
+        on = curve == cid
+        values = np.asarray(fn(points[on].reshape(-1, 2), cid))
+        if out is None:
+            out = np.empty(points.shape[:-1] + values.shape[1:], dtype=values.dtype)
+        out[on] = values.reshape(out[on].shape)
+    return np.empty_like(points) if out is None else out
 
 
 def disk_geometry(radius=1.0, center=(0.0, 0.0)):

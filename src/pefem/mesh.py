@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import MeshFormatError
+from .geometry import _per_curve
 
 MIN_ANGLE_DEG = 20.0
 
@@ -30,33 +31,42 @@ class Mesh:
     boundary_edges: list
     _h: float = field(default=None, repr=False, compare=False)
     _edge_normals: np.ndarray = field(default=None, repr=False, compare=False)
+    _edge_table: "EdgeTable" = field(default=None, repr=False, compare=False)
 
     @property
     def h(self):
         """Largest triangle diameter (= longest edge)."""
         if self._h is None:
-            tri_pts = self.vertices[self.triangles]
-            lengths = [
-                np.linalg.norm(tri_pts[:, i] - tri_pts[:, j], axis=1)
-                for i, j in ((0, 1), (1, 2), (2, 0))
-            ]
-            self._h = float(np.max(lengths))
+            ends = self.vertices[self.edge_table.edges]
+            self._h = float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
         return self._h
+
+    @property
+    def edge_table(self):
+        """The EdgeTable of the triangulation (built once)."""
+        if self._edge_table is None:
+            self._edge_table = EdgeTable(self.triangles)
+        return self._edge_table
+
+    @property
+    def boundary_table(self):
+        """boundary_edges as arrays: end vertices (E, 2), adjacent
+        triangles (E,) and curve ids (E,)."""
+        table = np.array(self.boundary_edges, dtype=object).reshape(-1, 4)
+        return table[:, :2].astype(np.int64), table[:, 2].astype(np.int64), table[:, 3]
 
     @property
     def edge_normals(self):
         """Outward unit normal per boundary edge (piecewise constant)."""
         if self._edge_normals is None:
-            normals = np.empty((len(self.boundary_edges), 2))
-            for i, (v0, v1, tri, _cid) in enumerate(self.boundary_edges):
-                e = self.vertices[v1] - self.vertices[v0]
-                n = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-                mid = 0.5 * (self.vertices[v0] + self.vertices[v1])
-                centroid = self.vertices[self.triangles[tri]].mean(axis=0)
-                if np.dot(n, mid - centroid) < 0:
-                    n = -n
-                normals[i] = n
-            self._edge_normals = normals
+            ends, tri, _curve = self.boundary_table
+            a, b = self.vertices[ends[:, 0]], self.vertices[ends[:, 1]]
+            e = b - a
+            n = np.stack([e[:, 1], -e[:, 0]], axis=1) / _row_norms(e)[:, None]
+            centroid = self.vertices[self.triangles[tri]].mean(axis=1)
+            inward = np.einsum("ij,ij->i", n, 0.5 * (a + b) - centroid) < 0
+            n[inward] = -n[inward]
+            self._edge_normals = n
         return self._edge_normals
 
     def min_angle_deg(self):
@@ -74,35 +84,77 @@ class Mesh:
         return worst
 
 
-def _edge_counts(triangles):
-    """Map sorted vertex pair -> list of adjacent triangle indices."""
-    edges = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edges.setdefault((min(u, v), max(u, v)), []).append(t)
-    return edges
+def _row_norms(x):
+    """Euclidean norms of the rows of x (n, 2), each rounded exactly as
+    np.linalg.norm rounds that row alone (a dot product, not a sum)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _boundary_edges_from_triangulation(vertices, triangles, classify):
-    """Extract single-triangle edges and tag them via `classify(midpoint)`."""
-    out = []
-    for (u, v), tris in _edge_counts(triangles).items():
-        if len(tris) == 1:
-            mid = 0.5 * (vertices[u] + vertices[v])
-            out.append((u, v, tris[0], classify(mid)))
-    out.sort(key=lambda e: (e[3], e[0], e[1]))
-    return out
+class EdgeTable:
+    """Every edge of a triangulation, found at once and numbered by first
+    appearance.
+
+    Triangles are read in order and each one's local edges as (v0,v1),
+    (v1,v2), (v2,v0).  edges (ne, 2) holds the sorted vertex pairs,
+    tri_edges (m, 3) the id of each local edge, counts (ne,) the number of
+    adjacent triangles and first_tri (ne,) the first of them.
+    """
+
+    def __init__(self, triangles):
+        tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        # int64 keys: u * n + v overflows int32 above about 46k vertices.
+        self._n = int(tris.max(initial=0)) + 1
+        keys, first, inverse, counts = np.unique(
+            pairs[:, 0] * self._n + pairs[:, 1],
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        order = np.argsort(first)
+        ids = np.empty_like(order)
+        ids[order] = np.arange(len(order))
+        self.edges = pairs[first[order]]
+        self.tri_edges = ids[inverse].reshape(-1, 3)
+        self.counts = counts[order]
+        self.first_tri = first[order] // 3
+        # A sentinel past every key keeps find's searchsorted in bounds.
+        self._keys = np.append(keys, np.iinfo(np.int64).max)
+        self._ids = np.append(ids, -1)
+
+    def find(self, v0, v1):
+        """Edge ids of the vertex pairs (v0, v1), either way round; -1 for
+        a pair that is not an edge."""
+        lo = np.minimum(v0, v1).astype(np.int64)
+        hi = np.maximum(v0, v1)
+        pos = np.searchsorted(self._keys, lo * self._n + hi)
+        found = (lo >= 0) & (hi < self._n) & (self._keys[pos] == lo * self._n + hi)
+        return np.where(found, self._ids[pos], -1)
+
+
+def _tagged_mesh(vertices, triangles, classify):
+    """Mesh whose boundary edges, the single-triangle edges, are tagged by
+    `classify`, which maps (E, 2) edge midpoints to E curve ids."""
+    table = EdgeTable(triangles)
+    single = table.counts == 1
+    u, v = table.edges[single].T
+    cid = np.asarray(classify(0.5 * (vertices[u] + vertices[v])))
+    order = np.lexsort((v, u, cid))
+    columns = (u[order], v[order], table.first_tri[single][order], cid[order])
+    boundary = list(zip(*(c.tolist() for c in columns)))
+    return Mesh(vertices, triangles, boundary, _edge_table=table)
+
+
+def _doubled_areas(vertices, triangles):
+    """Twice the signed area of each triangle (positive if CCW)."""
+    a, b, c = (vertices[triangles[:, i]] for i in range(3))
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
 
 
 def _orient_ccw(vertices, triangles):
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
     flipped = triangles.copy()
-    flipped[det < 0] = flipped[det < 0][:, [0, 2, 1]]
+    cw = _doubled_areas(vertices, triangles) < 0
+    flipped[cw] = flipped[cw][:, [0, 2, 1]]
     return flipped
 
 
@@ -130,10 +182,7 @@ def generate_disk_mesh(n_boundary):
         pts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
     vertices = np.array(pts)
     triangles = _orient_ccw(vertices, Delaunay(vertices).simplices)
-    boundary = _boundary_edges_from_triangulation(
-        vertices, triangles, lambda mid: "circle"
-    )
-    return Mesh(vertices, triangles, boundary)
+    return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "circle"))
 
 
 def generate_square_hole_mesh(n_refine):
@@ -154,40 +203,32 @@ def generate_square_hole_mesh(n_refine):
     middle = 0.375 * dirs
     outer = 0.5 * dirs / np.max(np.abs(dirs), axis=1, keepdims=True)
     vertices = np.vstack([inner, middle, outer])
-    triangles = []
-    for ring in (0, 16):
-        for i in range(16):
-            j = (i + 1) % 16
-            triangles.append([ring + i, ring + 16 + i, ring + 16 + j])
-            triangles.append([ring + i, ring + 16 + j, ring + j])
-    triangles = _orient_ccw(vertices, np.array(triangles))
+    ring, step = np.array([[0], [16]]), np.arange(16)
+    i, j = ring + step, ring + (step + 1) % 16
+    triangles = np.stack([i, i + 16, j + 16, i, j + 16, j], axis=-1).reshape(-1, 3)
+    triangles = _orient_ccw(vertices, triangles)
 
     for _ in range(n_refine):
         vertices, triangles = _refine_once(vertices, triangles)
-    boundary = _boundary_edges_from_triangulation(
-        vertices, triangles, lambda mid: "hole" if np.linalg.norm(mid) < 0.375 else "square"
+    return _tagged_mesh(
+        vertices,
+        triangles,
+        lambda mid: np.where(np.linalg.norm(mid, axis=1) < 0.375, "hole", "square"),
     )
-    return Mesh(vertices, np.asarray(triangles), boundary)
 
 
 def _refine_once(vertices, triangles):
     """Uniform midpoint subdivision; hole-boundary midpoints reprojected."""
-    edge_tris = _edge_counts(triangles)
-    verts = list(map(tuple, vertices))
-    midpoint_index = {}
-    for (u, v), tris in edge_tris.items():
-        mid = 0.5 * (vertices[u] + vertices[v])
-        if len(tris) == 1 and np.linalg.norm(mid) < 0.375:
-            mid = 0.25 * mid / np.linalg.norm(mid)
-        midpoint_index[(u, v)] = len(verts)
-        verts.append(tuple(mid))
-    new_tris = []
-    for a, b, c in triangles:
-        mab = midpoint_index[(min(a, b), max(a, b))]
-        mbc = midpoint_index[(min(b, c), max(b, c))]
-        mca = midpoint_index[(min(c, a), max(c, a))]
-        new_tris.extend([[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]])
-    return np.array(verts), np.array(new_tris)
+    table = EdgeTable(triangles)
+    mid = 0.5 * (vertices[table.edges[:, 0]] + vertices[table.edges[:, 1]])
+    r = _row_norms(mid)
+    hole = (table.counts == 1) & (r < 0.375)
+    mid[hole] = 0.25 * mid[hole] / r[hole, None]
+    # Edge e's midpoint becomes vertex nv + e.
+    a, b, c = triangles.T
+    mab, mbc, mca = (len(vertices) + table.tri_edges).T
+    children = [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]]
+    return np.vstack([vertices, mid]), np.transpose(children, (2, 0, 1)).reshape(-1, 3)
 
 
 def generate_square_mesh(n, center=(0.0, 0.0), half_width=0.5):
@@ -202,18 +243,11 @@ def generate_square_mesh(n, center=(0.0, 0.0), half_width=0.5):
     coords = np.linspace(-half_width, half_width, n + 1)
     xx, yy = np.meshgrid(coords + cx, coords + cy, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            v10 = (i + 1) * (n + 1) + j
-            triangles.append([v00, v10, v10 + 1])
-            triangles.append([v00, v10 + 1, v00 + 1])
-    triangles = _orient_ccw(vertices, np.array(triangles))
-    boundary = _boundary_edges_from_triangulation(
-        vertices, triangles, lambda mid: "square"
-    )
-    return Mesh(vertices, triangles, boundary)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10 = v00 + n + 1
+    triangles = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
+    triangles = _orient_ccw(vertices, triangles)
+    return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "square"))
 
 
 @dataclass
@@ -225,69 +259,63 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(mesh, geometry=None, min_angle_deg=MIN_ANGLE_DEG):
+def validate(mesh, geometry=None):
     """Check mesh invariants; the report lists violations with indices."""
     v = []
     verts, tris = mesh.vertices, mesh.triangles
 
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    areas = 0.5 * (
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+    areas = 0.5 * _doubled_areas(verts, tris)
     for t in np.nonzero(areas <= 0)[0]:
         v.append(f"triangle {t}: nonpositive signed area {areas[t]:.3e}")
 
-    edge_tris = _edge_counts(tris)
-    tagged = {(min(e[0], e[1]), max(e[0], e[1])): e for e in mesh.boundary_edges}
-    for (u, w), adj in edge_tris.items():
-        if len(adj) > 2:
-            v.append(f"edge ({u},{w}): shared by {len(adj)} triangles")
-        elif len(adj) == 1 and (u, w) not in tagged:
-            v.append(f"edge ({u},{w}): boundary edge missing a tag")
-        elif len(adj) == 2 and (u, w) in tagged:
-            v.append(f"edge ({u},{w}): interior edge tagged as boundary")
-    for (u, w), e in tagged.items():
-        adj = edge_tris.get((u, w))
-        if adj is None:
-            v.append(f"edge ({u},{w}): tagged edge absent from triangulation")
-        elif len(adj) == 1 and e[2] != adj[0]:
-            v.append(f"edge ({u},{w}): wrong adjacent triangle {e[2]} != {adj[0]}")
+    ends, tri, curve = mesh.boundary_table
+    in_range = np.all((ends >= 0) & (ends < len(verts)), axis=1) & (tri >= 0) & (tri < len(tris))
+    if not np.all(in_range):
+        v.extend(f"boundary edge {i}: index out of range" for i in np.flatnonzero(~in_range))
+        return ValidationReport(v)
 
-    by_component = {}
-    for v0, v1, _t, cid in mesh.boundary_edges:
-        by_component.setdefault(cid, []).append((v0, v1))
-    for cid, edges in by_component.items():
-        degree = {}
-        for v0, v1 in edges:
-            degree[v0] = degree.get(v0, 0) + 1
-            degree[v1] = degree.get(v1, 0) + 1
-        bad = [vid for vid, d in degree.items() if d != 2]
+    table = mesh.edge_table
+    eid = table.find(ends[:, 0], ends[:, 1])
+    tagged = np.zeros(len(table.edges), dtype=bool)
+    tagged[eid[eid >= 0]] = True
+    n_adj = table.counts
+    for e in np.flatnonzero((n_adj > 2) | ((n_adj == 1) != tagged)):
+        (u, w), adj = table.edges[e], n_adj[e]
+        what = "boundary edge missing a tag" if adj == 1 else "interior edge tagged as boundary"
+        v.append(f"edge ({u},{w}): " + (f"shared by {adj} triangles" if adj > 2 else what))
+    first = table.first_tri[eid]
+    wrong = (eid >= 0) & (n_adj[eid] == 1) & (tri != first)
+    for i in np.flatnonzero((eid < 0) | wrong):
+        what = "tagged edge absent from triangulation"
+        what = f"wrong adjacent triangle {tri[i]} != {first[i]}" if wrong[i] else what
+        v.append(f"edge ({min(ends[i])},{max(ends[i])}): {what}")
+
+    for cid in curve[np.sort(np.unique(curve, return_index=True)[1])]:
+        vids = ends[curve == cid].ravel()
+        _ids, seen, degree = np.unique(vids, return_index=True, return_counts=True)
+        bad = vids[np.sort(seen[degree != 2])].tolist()
         if bad:
             v.append(f"component {cid!r}: open boundary loop at vertices {bad}")
 
     if geometry is not None:
-        for v0, v1, _t, cid in mesh.boundary_edges:
-            comp = geometry.component(cid)
-            for vid in (v0, v1):
-                phi = float(comp.level_set(verts[vid, 0], verts[vid, 1]))
-                if abs(phi) > 1e-10:
-                    v.append(
-                        f"vertex {vid}: off true boundary {cid!r} (phi = {phi:.3e})"
-                    )
+        level = lambda p, cid: geometry.component(cid).level_set(p[:, 0], p[:, 1])
+        phi = _per_curve(level, verts[ends], curve)
+        for i in np.flatnonzero(np.abs(phi) > 1e-10):
+            cid = curve[i // 2]
+            v.append(f"vertex {ends.flat[i]}: off true boundary {cid!r} (phi = {phi.flat[i]:.3e})")
 
     worst = mesh.min_angle_deg()
-    if worst < min_angle_deg:
-        v.append(f"minimum angle {worst:.2f} deg below {min_angle_deg} deg")
+    if worst < MIN_ANGLE_DEG:
+        v.append(f"minimum angle {worst:.2f} deg below {MIN_ANGLE_DEG} deg")
 
     normals = mesh.edge_normals
-    for i, (v0, v1, tri, _cid) in enumerate(mesh.boundary_edges):
-        n = normals[i]
-        if abs(np.linalg.norm(n) - 1.0) > 1e-14:
+    mid = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    not_unit = np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-14
+    inward = np.einsum("ij,ij->i", normals, mid - verts[tris[tri]].mean(axis=1)) <= 0
+    for i in np.flatnonzero(not_unit | inward):
+        if not_unit[i]:
             v.append(f"boundary edge {i}: normal not unit length")
-        mid = 0.5 * (verts[v0] + verts[v1])
-        centroid = verts[tris[tri]].mean(axis=0)
-        if np.dot(n, mid - centroid) <= 0:
+        if inward[i]:
             v.append(f"boundary edge {i}: normal points inward")
     return ValidationReport(v)
 
@@ -372,9 +400,12 @@ def read_mesh(text):
         if len(parts) != 4:
             raise MeshFormatError("boundary edge line needs 4 fields", n)
         try:
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
+            v0, v1, tri = (int(p) for p in parts[:3])
         except ValueError:
             raise MeshFormatError("bad boundary edge field", n)
+        if not (0 <= v0 < nv and 0 <= v1 < nv and v0 != v1 and 0 <= tri < nt):
+            raise MeshFormatError("boundary edge index out of range or repeated", n)
+        edges.append((v0, v1, tri, parts[3]))
 
     if pos != len(lines):
         raise MeshFormatError("trailing content after sections", lines[pos][0])

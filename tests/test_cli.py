@@ -88,6 +88,27 @@ class TestRunStudy:
         assert report.h1_slope(last=3) <= 1.9
         assert gates_pass(config, report)
 
+    @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+    def test_preflight_rejects_inconsistent_data(self, bc_kind, monkeypatch):
+        import pefem.cli
+        from pefem.problems import preset_problem
+
+        def skewed_preset(name, kind):
+            problem = preset_problem(name, kind)
+            g_D, g_N = problem.g_D, problem.g_N
+            if kind == "dirichlet":
+                problem.g_D = lambda x, y: g_D(x, y) + 1e-6
+            else:
+                problem.g_N = lambda x, y, nx, ny: g_N(x, y, -nx, -ny)
+            return problem
+
+        monkeypatch.setattr(pefem.cli, "preset_problem", skewed_preset)
+        method = "pefem-neumann" if bc_kind == "neumann" else "pefem-dirichlet-weak"
+        config = ExperimentConfig(domain="square_hole", method=method, k=1, levels=2)
+        key = "g_N" if bc_kind == "neumann" else "g_D"
+        with pytest.raises(ConfigurationError, match=f"^level 0: {key} inconsistent"):
+            run_study(config)
+
 
 @pytest.fixture(scope="module")
 def study():

@@ -126,14 +126,36 @@ class TestFeSpace:
         assert space.n_dofs == expected
 
     def test_neighbors_share_edge_dofs(self):
-        mesh = generate_square_mesh(2)
-        space = FeSpace(mesh, 3)
-        for (u, v), _ in space._edge_ids.items():
-            dofs = space.edge_dofs(u, v)
-            assert len(dofs) == 4
-        # Every dof coordinate appears once: no duplicated physical nodes.
-        rounded = {tuple(np.round(c, 12)) for c in space.dof_coords}
-        assert len(rounded) == space.n_dofs
+        # Across every interior edge, the two triangles list the same
+        # global dofs in opposite order (each walks the edge from its own
+        # local vertex l to l + 1), at the k + 1 equispaced edge points.
+        for mesh in (generate_square_mesh(2), generate_disk_mesh(16)):
+            sides = {}
+            for t, tri in enumerate(mesh.triangles):
+                for l in range(3):
+                    key = tuple(sorted((tri[l], tri[(l + 1) % 3])))
+                    sides.setdefault(key, []).append((t, l))
+            interior = [pair for pair in sides.values() if len(pair) == 2]
+            assert interior
+            for k in (1, 2, 3, 4):
+                space = FeSpace(mesh, k)
+                ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+                def walk(t, l):
+                    local = space.edge_nodes[l]
+                    dist = np.linalg.norm(space.ref.nodes[local] - ref_vertices[l], axis=1)
+                    return space.cell_dofs[t, local[np.argsort(dist)]]
+
+                s = np.linspace(0.0, 1.0, k + 1)[:, None]
+                for (ta, la), (tb, lb) in interior:
+                    dofs = walk(ta, la)
+                    assert np.array_equal(dofs, walk(tb, lb)[::-1])
+                    a = mesh.vertices[mesh.triangles[ta, la]]
+                    b = mesh.vertices[mesh.triangles[ta, (la + 1) % 3]]
+                    assert np.abs(space.dof_coords[dofs] - (a + s * (b - a))).max() <= 1e-14
+                # Every dof coordinate appears once: no duplicated physical nodes.
+                rounded = {tuple(np.round(c, 12)) for c in space.dof_coords}
+                assert len(rounded) == space.n_dofs
 
     def test_boundary_dofs_on_boundary(self):
         mesh = generate_disk_mesh(16)

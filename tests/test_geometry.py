@@ -14,7 +14,7 @@ from pefem.geometry import (
     square_geometry,
     square_hole_geometry,
 )
-from pefem.mesh import generate_disk_mesh
+from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh
 
 
 class TestClosestPoint:
@@ -174,3 +174,24 @@ class TestGeometricGap:
         for n in (32, 64, 128):
             mesh = generate_disk_mesh(n)
             assert geometric_gap(mesh, geo) <= mesh.h**2 / 8.0 * 1.001
+
+    @pytest.mark.parametrize("domain", ["disk", "square_hole"])
+    def test_one_projection_per_component(self, domain):
+        # Same value as projecting 33 samples edge by edge, from one
+        # closest_point call per boundary component.
+        if domain == "disk":
+            mesh, geo = generate_disk_mesh(32), disk_geometry()
+        else:
+            mesh, geo = generate_square_hole_mesh(1), square_hole_geometry()
+        t = np.linspace(0.0, 1.0, 33)
+        want = 0.0
+        for v0, v1, _tri, cid in mesh.boundary_edges:
+            a, b = mesh.vertices[v0], mesh.vertices[v1]
+            pts = a + np.outer(t, b - a)
+            dist = np.linalg.norm(geo.closest_point(pts, cid) - pts, axis=1)
+            want = max(want, float(dist.max()))
+        calls = []
+        project = geo.closest_point
+        geo.closest_point = lambda pts, cid: calls.append(cid) or project(pts, cid)
+        assert geometric_gap(mesh, geo) == want
+        assert sorted(calls) == sorted(geo.components)

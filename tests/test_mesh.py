@@ -153,6 +153,17 @@ class TestValidate:
         report = validate(Mesh(verts, tris, edges))
         assert any("minimum angle" in v for v in report.violations)
 
+    def test_reports_out_of_range_boundary_edge(self):
+        mesh = generate_square_mesh(1)
+        edges = list(mesh.boundary_edges)
+        edges[1] = (0, 9, 1, "square")
+        edges[3] = (0, -1, 0, "square")
+        edges.append((0, 1, 7, "square"))
+        report = validate(Mesh(mesh.vertices, mesh.triangles, edges))
+        for i in (1, 3, 4):
+            assert f"boundary edge {i}: index out of range" in report.violations
+        assert not any("boundary edge 0" in v or "boundary edge 2" in v for v in report.violations)
+
     def test_outward_normals(self):
         mesh = generate_disk_mesh(16)
         for i, (v0, v1, _tri, _cid) in enumerate(mesh.boundary_edges):
@@ -201,6 +212,24 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError) as err:
             read_mesh(text)
         assert err.value.line == 7
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "0 9 1 square",
+            "-1 1 0 square",
+            "0 -1 0 square",
+            "2 2 0 square",
+            "0 1 2 square",
+            "0 1 -1 square",
+        ],
+    )
+    def test_boundary_edge_index_out_of_range(self, line):
+        # Four vertices and two triangles; the edge sits on line 11.
+        text = write_mesh(generate_square_mesh(1)).split("boundary_edges")[0]
+        with pytest.raises(MeshFormatError, match="boundary edge index out of range") as err:
+            read_mesh(text + f"boundary_edges 1\n{line}\n")
+        assert err.value.line == 11
 
     def test_error_carries_line_number(self):
         text = "pefem-mesh v1\nvertices 1\nnot-a-number 0.0\ntriangles 0\nboundary_edges 0\n"
