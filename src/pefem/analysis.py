@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SingularSystemError, SolverError
-from .fem import affine_map, quadrature_for_degree
+from .fem import _reference_tables, _volume_quadrature
 
 RESIDUAL_TOL = 1e-12
 
@@ -50,19 +50,15 @@ def error_norms(space, u_h, exact_u, exact_grad):
     """
     if exact_u is None or exact_grad is None:
         raise ConfigurationError("error norms need the exact solution and gradient")
-    rule = quadrature_for_degree(space.degree)
-    ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
-    B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
-    x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
-
+    x, w = _volume_quadrature(space)
+    vals, grads, _grad_grad, _val_val = _reference_tables(space.degree)
     local = np.asarray(u_h)[space.cell_dofs]  # (m, nb)
-    uh_vals = np.einsum("qb,mb->mq", ref_vals, local)
-    gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
-    uh_grads = np.einsum("mqbe,mb->mqe", gphys, local)
+    uh_vals = np.einsum("mb,qb->mq", local, vals)
+    uh_ref_grads = np.einsum("mb,qbd->mqd", local, grads)
+    uh_grads = np.einsum("mqd,mde->mqe", uh_ref_grads, space.Binv)
 
     u_vals = exact_u(x[..., 0], x[..., 1])
     gx, gy = exact_grad(x[..., 0], x[..., 1])
-    w = rule.triangle_weights[None, :] * det[:, None]
     l2_sq = float(np.sum(w * (u_vals - uh_vals) ** 2))
     grad_sq = float(
         np.sum(w * ((gx - uh_grads[..., 0]) ** 2 + (gy - uh_grads[..., 1]) ** 2))

@@ -167,7 +167,9 @@ def affine_map(vertices):
 
 
 class FeSpace:
-    """Global P_k space on a mesh: dof numbering and boundary dof sets.
+    """Global P_k space on a mesh: dof numbering, boundary dof sets, the
+    element maps `B`, `origin`, `det`, `Binv` from one `affine_map` call,
+    and the degree's quadrature `rule`.
 
     Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
     from the lower- to the higher-numbered vertex), then interior dofs
@@ -208,9 +210,10 @@ class FeSpace:
         cell_dofs[:, interior] = nv + (k - 1) * ne + np.arange(nt * n_int).reshape(nt, n_int)
         self.cell_dofs = cell_dofs
 
-        B, b0, _det, _Binv = affine_map(mesh.vertices[tris])
+        self.rule = quadrature_for_degree(k)
+        self.B, self.origin, self.det, self.Binv = affine_map(mesh.vertices[tris])
         coords = np.empty((self.n_dofs, 2))
-        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(B, -1, -2) + b0[:, None, :]
+        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(self.B, -1, -2) + self.origin[:, None, :]
         self.dof_coords = coords
 
         ends, _tri, _curve = mesh.boundary_table
@@ -249,9 +252,8 @@ def eval_basis(space, elements, points):
     outside the element.  Returns values (E, n, n_basis) and gradients
     (E, n, n_basis, 2).
     """
-    mesh = space.mesh
     pts = np.asarray(points, dtype=float)
-    _B, b0, _det, Binv = affine_map(mesh.vertices[mesh.triangles[elements]])
+    b0, Binv = space.origin[elements], space.Binv[elements]
     ref_pts = (pts - b0[:, None, :]) @ np.swapaxes(Binv, -1, -2)
     vals, grads = space.ref.eval(ref_pts.reshape(-1, 2))
     n_elem, n_pts = pts.shape[:2]
@@ -276,30 +278,46 @@ def eval_fe(space, coefficients, element, points):
     return (values[0], gradients[0]) if scalar else (values, gradients)
 
 
-def assemble_operator(space, p=None, q=None, form="D", quadrature=None):
-    """Assemble the stiffness form (form="D") or stiffness+mass (form="N").
+def _volume_quadrature(space):
+    """Physical quadrature points (m, n_q, 2) of every element and their
+    weights w_q det_m (m, n_q)."""
+    rule = space.rule
+    x = np.einsum("qd,med->mqe", rule.triangle_points, space.B) + space.origin[:, None, :]
+    return x, rule.triangle_weights[None, :] * space.det[:, None]
 
-    p multiplies the gradient term, q the mass term (form "N" only); both
-    are vectorized callables (x, y) -> values, defaulting to 1.
+
+@lru_cache(maxsize=8)
+def _reference_tables(degree):
+    """Reference basis tables at the triangle points of the degree's rule.
+
+    Returns values (n_q, n_b), gradients (n_q, n_b, 2), the gradient
+    products d_d phi_b d_e phi_c as (n_q * 4, n_b^2) with rows (q, d, e),
+    and the value products phi_b phi_c as (n_q, n_b^2); columns are (b, c).
+    The cache shares the arrays between calls: callers must not modify them.
     """
-    if form not in ("D", "N"):
-        raise ValueError("form must be 'D' or 'N'")
-    rule = quadrature or quadrature_for_degree(space.degree)
-    ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
-    B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
-    # Physical quadrature points, shape (n_elem, n_q, 2).
-    x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
+    vals, grads = reference_element(degree).eval(quadrature_for_degree(degree).triangle_points)
+    nq, nb = vals.shape
+    grad_grad = np.einsum("qbd,qce->qdebc", grads, grads).reshape(nq * 4, nb * nb)
+    val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
+    return vals, grads, grad_grad, val_val
 
-    p_fun = p if p is not None else (lambda xx, yy: np.ones_like(xx))
-    pv = _eval_field(p_fun, x, "diffusion coefficient")
-    # Gradients pushed to physical space: (n_elem, n_q, n_basis, 2).
-    gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
-    w = rule.triangle_weights[None, :] * det[:, None]
-    local = np.einsum("mq,mq,mqbe,mqce->mbc", w, pv, gphys, gphys)
-    if form == "N":
-        q_fun = q if q is not None else (lambda xx, yy: np.ones_like(xx))
-        qv = _eval_field(q_fun, x, "reaction coefficient")
-        local += np.einsum("mq,mq,qb,qc->mbc", w, qv, ref_vals, ref_vals)
+
+def assemble_operator(space, p=None, q=None):
+    """Stiffness form of p (default 1), plus the mass form of q if given.
+
+    p and q are vectorized callables (x, y) -> values.  Elements are
+    affine, so the stiffness contracts w p (Binv Binv^T) per element
+    against the reference table of gradient products.
+    """
+    x, w = _volume_quadrature(space)
+    _vals, _grads, grad_grad, val_val = _reference_tables(space.degree)
+    w_p = w if p is None else w * _eval_field(p, x, "diffusion coefficient")
+    metric = np.einsum("mde,mfe->mdf", space.Binv, space.Binv)
+    factor = np.einsum("mq,mdf->mqdf", w_p, metric).reshape(len(w), -1)
+    local = np.einsum("mk,kn->mn", factor, grad_grad)
+    if q is not None:
+        w_q = w * _eval_field(q, x, "reaction coefficient")
+        local += np.einsum("mq,qn->mn", w_q, val_val)
 
     nb = space.ref.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
@@ -319,15 +337,9 @@ def _eval_field(fun, x, what):
     return vals
 
 
-def assemble_load(space, f, quadrature=None):
+def assemble_load(space, f):
     """Load vector with entries given by the volume quadrature of f."""
-    rule = quadrature or quadrature_for_degree(space.degree)
-    ref_vals, _ = space.ref.eval(rule.triangle_points)
-    B, origin, det, _Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
-    x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
-    fv = _eval_field(f, x, "source")
-    w = rule.triangle_weights[None, :] * det[:, None]
-    local = np.einsum("mq,mq,qb->mb", w, fv, ref_vals)
-    out = np.zeros(space.n_dofs)
-    np.add.at(out, space.cell_dofs.ravel(), local.ravel())
-    return out
+    x, w = _volume_quadrature(space)
+    vals, _grads, _grad_grad, _val_val = _reference_tables(space.degree)
+    local = np.einsum("mq,qb->mb", w * _eval_field(f, x, "source"), vals)
+    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)

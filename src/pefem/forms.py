@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import AssemblyError, ConfigurationError
-from .fem import assemble_load, assemble_operator, eval_basis, quadrature_for_degree
+from .fem import assemble_load, assemble_operator, eval_basis
 from .geometry import _per_curve
 
 DEFAULT_C_THETA = 10.0
@@ -30,6 +30,8 @@ class ProblemSpec:
     must be evaluable on the polygonal domain as well, including the thin
     region outside the true domain (globally defined formulas do this for
     free).  g_N additionally receives the outward unit normal components.
+    The reaction coefficient q applies to every bc_kind; None means no
+    reaction term, which Neumann problems refuse.
     """
 
     bc_kind: str  # "dirichlet" | "neumann"
@@ -99,16 +101,17 @@ class _BoundaryEdges:
             v0, v1 = ends[np.argmin(valid)]
             raise AssemblyError(f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle")
         self.n_dofs = space.n_dofs
+        self.rule = space.rule
         self.ends = mesh.vertices[ends]
         self.tri = tri
         self.cell_dofs = space.cell_dofs[tri]
         self.local = space.edge_nodes[np.argmax(is_local, axis=1)]
         self.dofs = np.take_along_axis(self.cell_dofs, self.local, axis=1)
 
-    def quadrature(self, geometry, rule):
+    def quadrature(self, geometry):
         """Segment quadrature points x (E, n_q, 2), their closest points
         eta on the true boundary, and the weights (E, n_q)."""
-        a, b = self.ends[:, 0], self.ends[:, 1]
+        a, b, rule = self.ends[:, 0], self.ends[:, 1], self.rule
         x = a[:, None, :] + rule.segment_points[None, :, None] * (b - a)[:, None, :]
         weights = rule.segment_weights * np.linalg.norm(b - a, axis=1)[:, None]
         return x, _per_curve(geometry.closest_point, x, self.curve), weights
@@ -161,10 +164,9 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     on the true boundary to the Dirichlet data, scaled by c_theta / h."""
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
-    rule = quadrature_for_degree(space.degree)
     theta = c_theta / space.mesh.h
     edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry, rule)
+    x, eta, weights = edges.quadrature(geometry)
 
     vals_x, _ = eval_basis(space, edges.tri, x)
     vals_eta, _ = eval_basis(space, edges.tri, eta)
@@ -173,8 +175,8 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     g_vals = problem.g_D(eta[..., 0], eta[..., 1])
     rhs = edges.load(theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
 
-    stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
-    F = assemble_load(space, problem.f, quadrature=rule)
+    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
+    F = assemble_load(space, problem.f)
     rows = space.boundary_dofs
     A, F = _replace_rows(stiffness, F, rows, edges.matrix(block), rhs[rows])
     return LinearSystem(A, F, rows.copy(), theta)
@@ -185,7 +187,6 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     element's extended polynomial matches the data on the true boundary."""
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
-    rule = quadrature_for_degree(space.degree)
     # Each boundary dof is constrained through one adjacent boundary edge.
     edges = _BoundaryEdges(space)
     dofs, owner = edges.owners()
@@ -198,8 +199,8 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
         shape=(space.n_dofs, space.n_dofs),
     )
 
-    stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
-    F = assemble_load(space, problem.f, quadrature=rule)
+    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
+    F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, constraint, problem.g_D(eta[:, 0], eta[:, 1]))
     return LinearSystem(A, F, space.boundary_dofs.copy())
 
@@ -231,14 +232,13 @@ def assemble_pefem_neumann(space, problem, geometry):
     """
     if problem.bc_kind != "neumann":
         raise ConfigurationError("problem is not a Neumann problem")
-    rule = quadrature_for_degree(space.degree)
     edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry, rule)
+    x, eta, weights = edges.quadrature(geometry)
     block, n_true, test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
     g_vals = problem.g_N(eta[..., 0], eta[..., 1], n_true[..., 0], n_true[..., 1])
 
-    A = assemble_operator(space, p=problem.p, q=problem.q, form="N", quadrature=rule)
-    F = assemble_load(space, problem.f, quadrature=rule)
+    A = assemble_operator(space, p=problem.p, q=problem.q)
+    F = assemble_load(space, problem.f)
     F += edges.load(np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
     return LinearSystem((A + edges.matrix(block)).tocsr(), F, space.boundary_dofs.copy())
 
@@ -246,7 +246,7 @@ def assemble_pefem_neumann(space, problem, geometry):
 def assemble_tau_neumann(space, problem, geometry):
     """The boundary flux-correction matrix alone (diagnostic)."""
     edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry, quadrature_for_degree(space.degree))
+    x, eta, weights = edges.quadrature(geometry)
     block, _n_true, _test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
     return edges.matrix(block).tocsr()
 
@@ -265,7 +265,6 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
     if problem.exact_u is None:
         raise ConfigurationError("the baseline needs the exact solution")
     datum = problem.g_D if problem.g_D is not None else problem.exact_u
-    rule = quadrature_for_degree(space.degree)
     edges = _BoundaryEdges(space)
     dofs, owner = edges.owners()
     xi = space.dof_coords[dofs]
@@ -275,7 +274,7 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
         (np.ones(len(dofs)), (dofs, dofs)), shape=(space.n_dofs, space.n_dofs)
     )
 
-    stiffness = assemble_operator(space, p=problem.p, form="D", quadrature=rule)
-    F = assemble_load(space, problem.f, quadrature=rule)
+    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
+    F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, identity, datum(xi[:, 0], xi[:, 1]))
     return LinearSystem(A, F, space.boundary_dofs.copy())

@@ -184,7 +184,7 @@ def test_criterion_7_tau_vanishes_on_straight_boundary():
     space = FeSpace(mesh, 3)
     problem = cosine_problem("neumann")
     tau = assemble_tau_neumann(space, problem, square_geometry())
-    N = assemble_operator(space, p=problem.p, q=problem.q, form="N")
+    N = assemble_operator(space, p=problem.p, q=problem.q)
     tau_max = np.abs(tau.data).max() if tau.nnz else 0.0
     n_max = np.abs(N.data).max()
     _report(7, tau_max <= 1e-12 * n_max, f"max|tau| {tau_max:.2e} <= 1e-12 * max|N| ({n_max:.2e})")
@@ -214,7 +214,7 @@ def test_criterion_8_oracle_equivalences():
     tris = np.array([[0, 1, 2]])
     edges = [(0, 1, 0, "square"), (1, 2, 0, "square"), (0, 2, 0, "square")]
     space = FeSpace(Mesh(verts, tris, edges), 1)
-    A = assemble_operator(space, form="D").toarray()
+    A = assemble_operator(space).toarray()
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     stiff_ok = np.abs(A - want).max() <= 1e-12
 

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from pefem.analysis import error_norms
 from pefem.errors import SingularElementError
 from pefem.fem import (
     FeSpace,
@@ -17,7 +19,7 @@ from pefem.fem import (
     segment_quadrature,
     triangle_quadrature,
 )
-from pefem.mesh import Mesh, generate_disk_mesh, generate_square_mesh
+from pefem.mesh import Mesh, generate_disk_mesh, generate_square_hole_mesh, generate_square_mesh
 
 
 class TestReferenceElement:
@@ -222,7 +224,7 @@ class TestAssembly:
         # closed form.
         mesh = generate_square_mesh(1)
         space = FeSpace(mesh, 1)
-        A = assemble_operator(space, form="D").toarray()
+        A = assemble_operator(space).toarray()
         # Restrict to one element's dofs and compare with the classic
         # [[1, -1/2, -1/2], [-1/2, 1/2, 0], [-1/2, 0, 1/2]] pattern up to
         # vertex ordering: check the invariants instead of the layout.
@@ -236,7 +238,7 @@ class TestAssembly:
         from pefem.mesh import Mesh
 
         space = FeSpace(Mesh(verts, tris, edges), 1)
-        A = assemble_operator(space, form="D").toarray()
+        A = assemble_operator(space).toarray()
         want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         assert np.abs(A - want).max() <= 1e-12
 
@@ -244,7 +246,7 @@ class TestAssembly:
     def test_stiffness_annihilates_constants(self, k):
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, k)
-        A = assemble_operator(space, form="D")
+        A = assemble_operator(space)
         ones = np.ones(space.n_dofs)
         assert np.abs(A @ ones).max() <= 1e-11
 
@@ -252,8 +254,8 @@ class TestAssembly:
         # With q = 1 and p = 0-like trick unavailable, use N - D.
         mesh = generate_square_mesh(4)
         space = FeSpace(mesh, 2)
-        D = assemble_operator(space, form="D")
-        N = assemble_operator(space, form="N")
+        D = assemble_operator(space)
+        N = assemble_operator(space, q=lambda x, y: np.ones_like(x))
         M = (N - D).toarray()
         assert np.sum(M) == pytest.approx(1.0, rel=1e-12)  # area of the square
         assert np.abs(M - M.T).max() <= 1e-14
@@ -281,7 +283,7 @@ class TestAssembly:
         space = FeSpace(mesh, 2)
         r = lambda x, y: x**2 + 0.5 * x * y - y**2 + x - 2
         target = r(space.dof_coords[:, 0], space.dof_coords[:, 1])
-        A = assemble_operator(space, form="N").tocsc()
+        A = assemble_operator(space, q=lambda x, y: np.ones_like(x)).tocsc()
         M_rhs = A @ target
         sol = spla.spsolve(A, M_rhs)
         assert np.abs(sol - target).max() <= 1e-10
@@ -289,15 +291,59 @@ class TestAssembly:
     def test_variable_coefficient_symmetry(self):
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, 2)
-        A = assemble_operator(
-            space, p=lambda x, y: 1.0 + x**2 + y**2, form="D"
-        )
+        A = assemble_operator(space, p=lambda x, y: 1.0 + x**2 + y**2)
         assert np.abs((A - A.T).toarray()).max() <= 1e-13
 
-    def test_quadrature_override(self):
-        mesh = generate_square_mesh(2)
-        space = FeSpace(mesh, 1)
-        rule = quadrature_for_degree(3)
-        A1 = assemble_operator(space, form="D", quadrature=rule)
-        A2 = assemble_operator(space, form="D")
-        assert np.abs((A1 - A2).toarray()).max() <= 1e-13
+
+def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
+    """Stiffness + mass, load and (L2, H1) errors summed point by point
+    from physical gradients: the reference the contractions must equal."""
+    rule = quadrature_for_degree(space.degree)
+    ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
+    B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
+    x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
+    xx, yy = x[..., 0], x[..., 1]
+    w = rule.triangle_weights[None, :] * det[:, None]
+    gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
+
+    local = np.einsum("mq,mq,mqbe,mqce->mbc", w, p(xx, yy), gphys, gphys)
+    local += np.einsum("mq,mq,qb,qc->mbc", w, q(xx, yy), ref_vals, ref_vals)
+    nb = space.ref.n_basis
+    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
+    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
+    F = np.zeros(space.n_dofs)
+    np.add.at(F, space.cell_dofs, np.einsum("mq,mq,qb->mb", w, f(xx, yy), ref_vals))
+
+    coeffs = u_h[space.cell_dofs]
+    uh_vals = np.einsum("qb,mb->mq", ref_vals, coeffs)
+    uh_grads = np.einsum("mqbe,mb->mqe", gphys, coeffs)
+    gx, gy = exact_grad(xx, yy)
+    l2_sq = np.sum(w * (exact_u(xx, yy) - uh_vals) ** 2)
+    grad_sq = np.sum(w * ((gx - uh_grads[..., 0]) ** 2 + (gy - uh_grads[..., 1]) ** 2))
+    return A, F, np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: generate_disk_mesh(16), lambda: generate_square_hole_mesh(1)],
+    ids=["disk", "hole"],
+)
+def test_volume_contractions_match_per_point_sums(make_mesh, k):
+    space = FeSpace(make_mesh(), k)
+    p = lambda x, y: 1.0 + x**2 + 0.5 * np.sin(y)
+    q = lambda x, y: 2.0 + x * y
+    f = lambda x, y: np.exp(x) * np.cos(2.0 * y)
+    exact_u = lambda x, y: np.cos(x) * np.sin(y)
+    exact_grad = lambda x, y: (-np.sin(x) * np.sin(y), np.cos(x) * np.cos(y))
+    u_h = np.random.default_rng(k).uniform(-1.0, 1.0, space.n_dofs)
+    A_ref, F_ref, l2_ref, h1_ref = _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad)
+
+    A = assemble_operator(space, p=p, q=q)
+    assert np.abs((A - A_ref).toarray()).max() <= 1e-13 * np.abs(A_ref.data).max()
+    F = assemble_load(space, f)
+    assert np.abs(F - F_ref).max() <= 1e-13 * np.abs(F_ref).max()
+    l2, h1 = error_norms(space, u_h, exact_u, exact_grad)
+    assert l2 == pytest.approx(l2_ref, rel=1e-13)
+    assert h1 == pytest.approx(h1_ref, rel=1e-13)

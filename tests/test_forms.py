@@ -227,7 +227,7 @@ class TestNeumann:
         problem = cosine_problem("neumann")
         geo = disk_geometry()
         system = assemble_pefem_neumann(space, problem, geo)
-        N = assemble_operator(space, p=problem.p, q=problem.q, form="N")
+        N = assemble_operator(space, p=problem.p, q=problem.q)
         tau = assemble_tau_neumann(space, problem, geo)
         diff = np.abs((system.A - N - tau).toarray()).max()
         assert diff <= 1e-12 * np.abs(N.toarray()).max()
@@ -317,6 +317,35 @@ class TestPatchTests:
             k,
             np.random.default_rng(200 + k),
         )
+        assert ok, f"H1 error {h1:.3e}"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            assemble_pefem_dirichlet,
+            assemble_pefem_dirichlet_strong,
+            lambda space, problem, _geometry: assemble_standard_dirichlet(space, problem),
+        ],
+        ids=["weak", "strong", "standard"],
+    )
+    def test_dirichlet_reaction_term(self, assemble, k):
+        # -lap u + q u = f with q = 1 + x^2: dropping q leaves an O(1) error.
+        def make_problem(poly):
+            q = lambda x, y: 1.0 + x**2
+            lap, px, py = poly.laplacian(), poly.dx(), poly.dy()
+            return ProblemSpec(
+                bc_kind="dirichlet",
+                q=q,
+                f=lambda x, y: q(x, y) * poly(x, y) - lap(x, y),
+                g_D=poly,
+                exact_u=poly,
+                exact_grad=lambda x, y: (px(x, y), py(x, y)),
+            )
+
+        space = FeSpace(generate_disk_mesh(16), k)
+        rng = np.random.default_rng(300 + k)
+        ok, h1 = patch_test(space, disk_geometry(), assemble, make_problem, k, rng)
         assert ok, f"H1 error {h1:.3e}"
 
     def test_linear_preserved_by_baseline(self):

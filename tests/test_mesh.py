@@ -1,6 +1,7 @@
 """Tests for mesh generation, validation, and the text format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,12 +140,14 @@ class TestValidate:
         assert any("wrong adjacent triangle" in v for v in report.violations)
 
     def test_detects_off_boundary_vertex(self):
+        # Each moved vertex ends two boundary edges, and is reported once.
         mesh = generate_disk_mesh(16)
         verts = mesh.vertices.copy()
-        vid = boundary_vertex_ids(mesh)[0]
-        verts[vid] *= 1.01
+        moved = boundary_vertex_ids(mesh)[:2]
+        verts[moved] *= 1.01
         report = validate(Mesh(verts, mesh.triangles, mesh.boundary_edges), disk_geometry())
-        assert any("off true boundary" in v for v in report.violations)
+        off = [v for v in report.violations if "off true boundary" in v]
+        assert off == [f"vertex {vid}: off true boundary 'circle' (phi = 1.000e-02)" for vid in moved]
 
     def test_detects_poor_angles(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.01]])
@@ -163,6 +166,17 @@ class TestValidate:
         for i in (1, 3, 4):
             assert f"boundary edge {i}: index out of range" in report.violations
         assert not any("boundary edge 0" in v or "boundary edge 2" in v for v in report.violations)
+
+    def test_zero_length_boundary_edge(self):
+        mesh = generate_square_mesh(2)
+        edges = list(mesh.boundary_edges) + [(3, 3, 0, "square")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(Mesh(mesh.vertices, mesh.triangles, edges))
+        assert report.violations == [
+            "edge (3,3): tagged edge absent from triangulation",
+            "component 'square': open boundary loop at vertices [3]",
+        ]
 
     def test_outward_normals(self):
         mesh = generate_disk_mesh(16)
