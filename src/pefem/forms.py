@@ -9,7 +9,7 @@ and the discrete flux on the polygonal one.  A classical nodal-interpolation
 variant is included as the suboptimal baseline.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,12 +75,15 @@ class LinearSystem:
 
     The matrix is nonsymmetric in general: constraint rows couple a
     boundary test function to every dof of the adjacent element.
+    `bubble_dofs` is the space's per-element table of interior dofs (see
+    `FeSpace`), which `solve` condenses; the default has none.
     """
 
     A: sparse.csr_matrix
     F: np.ndarray
     boundary_rows: np.ndarray
     theta: float = 0.0
+    bubble_dofs: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
 
 
 class _BoundaryEdges:
@@ -179,7 +182,7 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     F = assemble_load(space, problem.f)
     rows = space.boundary_dofs
     A, F = _replace_rows(stiffness, F, rows, edges.matrix(block), rhs[rows])
-    return LinearSystem(A, F, rows.copy(), theta)
+    return LinearSystem(A, F, rows.copy(), theta, bubble_dofs=space.bubble_dofs)
 
 
 def assemble_pefem_dirichlet_strong(space, problem, geometry):
@@ -202,7 +205,7 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     stiffness = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, constraint, problem.g_D(eta[:, 0], eta[:, 1]))
-    return LinearSystem(A, F, space.boundary_dofs.copy())
+    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)
 
 
 def _flux_correction(space, problem, geometry, edges, x, eta, weights):
@@ -240,7 +243,8 @@ def assemble_pefem_neumann(space, problem, geometry):
     A = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     F += edges.load(np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    return LinearSystem((A + edges.matrix(block)).tocsr(), F, space.boundary_dofs.copy())
+    A = (A + edges.matrix(block)).tocsr()
+    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)
 
 
 def assemble_tau_neumann(space, problem, geometry):
@@ -277,4 +281,4 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
     stiffness = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, identity, datum(xi[:, 0], xi[:, 1]))
-    return LinearSystem(A, F, space.boundary_dofs.copy())
+    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)

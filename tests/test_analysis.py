@@ -1,5 +1,8 @@
 """Tests for the linear solver, error norms, rate fitting, and reports."""
 
+import logging
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -7,18 +10,54 @@ import scipy.sparse as sparse
 from pefem.analysis import (
     ConvergenceReport,
     LevelResult,
+    _residual,
+    compensated_residual,
     error_norms,
     fit_rate,
     solve,
 )
-from pefem.errors import ConfigurationError, SingularSystemError
+from pefem.errors import ConfigurationError, SingularSystemError, SolverError
 from pefem.fem import FeSpace
 from pefem.forms import LinearSystem
 from pefem.mesh import generate_square_mesh
 
 
-def _system(A, F):
-    return LinearSystem(sparse.csr_matrix(A), np.asarray(F, dtype=float), np.array([], dtype=int))
+def _system(A, F, bubble_dofs=None):
+    system = LinearSystem(sparse.csr_matrix(A), np.asarray(F, dtype=float), np.array([], dtype=int))
+    if bubble_dofs is not None:
+        system.bubble_dofs = np.asarray(bubble_dofs)
+    return system
+
+
+def _bubbly_system(rng, bubble_block, n_b=6, n_cells=4):
+    """A diagonally dominant system whose last n_cells * 2 dofs are bubbles
+    coupled only within their cell; cell 0's bubble block is given."""
+    n_int = 2
+    n = n_b + n_cells * n_int
+    A = 0.1 * rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    cell = np.r_[np.full(n_b, -1), np.repeat(np.arange(n_cells), n_int)]
+    A[(cell[:, None] >= 0) & (cell[None, :] >= 0) & (cell[:, None] != cell[None, :])] = 0.0
+    A[n_b : n_b + n_int, n_b : n_b + n_int] = bubble_block
+    F = A @ rng.standard_normal(n)
+    return _system(A, F, np.arange(n_b, n).reshape(n_cells, n_int))
+
+
+def _solve_records(caplog, system):
+    with caplog.at_level(logging.DEBUG, logger="pefem.analysis"):
+        x = solve(system)
+    return x, [r for r in caplog.records if r.name == "pefem.analysis"]
+
+
+def _random_rows(rng, n=30):
+    """A random sparse matrix with entries over six decades, a vector x,
+    and F = fl(A x) with a few small perturbations: rows of F - A x
+    cancel to far below the size of their terms."""
+    A = sparse.random(n, n, density=0.3, random_state=rng, format="csr")
+    A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-3, 4, A.nnz)
+    x = rng.standard_normal(n)
+    F = A @ x
+    F[::3] += 1e-12 * rng.standard_normal(len(F[::3]))
+    return A, x, F
 
 
 class TestSolve:
@@ -46,6 +85,89 @@ class TestSolve:
         A[0, 0] = 1.0
         with pytest.raises(SingularSystemError):
             solve(_system(A, [1.0, 1.0, 1.0]))
+
+    def test_compensated_residual_matches_exact_residual(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            A, x, F = _random_rows(rng)
+            r = compensated_residual(A, x, F)
+            plain = F - A @ x
+            misses = 0
+            for i in range(A.shape[0]):
+                lo, hi = A.indptr[i], A.indptr[i + 1]
+                terms = [Fraction(a) * Fraction(x[j]) for a, j in zip(A.data[lo:hi], A.indices[lo:hi])]
+                exact = Fraction(F[i]) - sum(terms)
+                # The documented bound, far below double arithmetic's.
+                largest = max((abs(t) for t in terms), default=0)
+                bound = Fraction(2.0**-52) * abs(exact) + (hi - lo) ** 3 * Fraction(2.0**-100) * largest
+                assert abs(Fraction(r[i]) - exact) <= bound
+                misses += abs(Fraction(plain[i]) - exact) > bound
+            assert misses > 0
+
+    def test_plain_residual_only_where_its_error_bound_allows(self):
+        A, x, F = _random_rows(np.random.default_rng(4))
+        r = compensated_residual(A, x, F)
+        limit = 2.0 * np.linalg.norm(r)
+        # F - A x cancels to 1e-12 of its terms: only the compensated
+        # residual proves the limit.
+        assert np.array_equal(_residual(A, x, F, limit), r)
+        easy = F + 1e-3
+        assert np.array_equal(_residual(A, x, easy, 1.0), easy - A @ x)
+
+    def test_refinement_recovers_an_ill_conditioned_bubble_block(self, caplog):
+        # The block's inverse loses 8 digits, so the first condensed solve
+        # misses the contract by far; refinement against the full matrix
+        # restores it.
+        system = _bubbly_system(np.random.default_rng(1), [[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+        x, records = _solve_records(caplog, system)
+        residuals = [float(h) for h in records[0].args[4].split(", ")]
+        assert residuals[0] > 1e-10
+        assert records[0].args[3] == len(residuals) - 1 >= 1
+        exact = compensated_residual(system.A, x, system.F)
+        assert np.linalg.norm(exact) <= 1e-12 * np.linalg.norm(system.F)
+
+    def test_logs_one_diagnostics_record(self, caplog):
+        system = _bubbly_system(np.random.default_rng(2), [[2.0, 0.5], [0.5, 3.0]])
+        _, records = _solve_records(caplog, system)
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.DEBUG
+        n, n_factored, lu_nnz, steps, residuals = record.args
+        assert (n, n_factored) == (14, 6)
+        assert lu_nnz == 42  # a dense 6 x 6 Schur complement: 21 entries in each of L, U
+        assert len(residuals.split(", ")) == steps + 1
+        assert float(residuals.split(", ")[-1]) <= 1e-12
+        assert f"{n} dofs, {n_factored} factorized, nnz(L+U) {lu_nnz}" in record.getMessage()
+
+    def test_solver_error_carries_sizes_and_history(self, caplog):
+        m = 10
+        hilbert = 1.0 / (np.arange(m)[:, None] + np.arange(m) + 1)
+        with pytest.raises(SolverError) as info:
+            _solve_records(caplog, _system(hilbert, np.ones(m)))
+        message = str(info.value)
+        assert "10 dofs, 10 factorized" in message
+        assert "10 refinement steps" in message
+        assert len(message.split("relative residuals ")[1].split(", ")) == 11
+        assert len([r for r in caplog.records if r.name == "pefem.analysis"]) == 1
+
+    def test_refuses_bubbles_coupled_across_elements(self):
+        system = _bubbly_system(np.random.default_rng(5), [[2.0, 0.5], [0.5, 3.0]])
+        A = system.A.toarray()
+        A[8, 7] = 0.25  # element 1's first bubble row, element 0's second bubble
+        system.A = sparse.csr_matrix(A)
+        with pytest.raises(SolverError, match="bubble dof 8 of element 1 .* dof 7 of element 0"):
+            solve(system)
+
+    def test_singular_bubble_block_names_its_element(self):
+        system = _bubbly_system(np.random.default_rng(6), [[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SingularSystemError, match="element 0: singular bubble block"):
+            solve(system)
+
+    def test_bubbles_must_be_the_last_dofs(self):
+        system = _bubbly_system(np.random.default_rng(7), [[2.0, 0.5], [0.5, 3.0]])
+        system.bubble_dofs = system.bubble_dofs[::-1]
+        with pytest.raises(ConfigurationError):
+            solve(system)
 
 
 class TestErrorNorms:
