@@ -26,8 +26,20 @@ from .forms import (
     assemble_standard_dirichlet,
     verify_problem_consistency,
 )
-from .geometry import _per_curve, disk_geometry, geometric_gap, square_hole_geometry
-from .mesh import generate_disk_mesh, generate_square_hole_mesh, validate, write_mesh
+from .geometry import (
+    _per_curve,
+    disk_geometry,
+    ellipse_geometry,
+    geometric_gap,
+    square_hole_geometry,
+)
+from .mesh import (
+    generate_disk_mesh,
+    generate_ellipse_mesh,
+    generate_square_hole_mesh,
+    validate,
+    write_mesh,
+)
 from .problems import polynomial_problem, preset_problem, random_polynomial
 
 PATCH_TOL = 1e-8
@@ -38,7 +50,7 @@ METHODS = (
     "pefem-neumann",
     "standard",
 )
-DOMAINS = ("disk", "square_hole")
+DOMAINS = ("disk", "square_hole", "ellipse")
 PROBLEMS = ("convex-cos", "nonconvex-rational", "patch-k")
 
 CONFIG_KEYS = {
@@ -78,7 +90,7 @@ class ExperimentConfig:
         if levels < 2:
             raise ConfigurationError(f"need at least 2 levels, got {levels}")
         if problem is None:
-            problem = "convex-cos" if domain == "disk" else "nonconvex-rational"
+            problem = "nonconvex-rational" if domain == "square_hole" else "convex-cos"
         if problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem preset {problem!r}")
         self.domain = domain
@@ -123,6 +135,9 @@ def build_config(file_values, overrides):
 def _domain_tools(domain):
     if domain == "disk":
         return (lambda level: generate_disk_mesh(16 * 2**level)), disk_geometry()
+    if domain == "ellipse":
+        # n = 16 scaled to the ellipse fails validate's minimum angle.
+        return (lambda level: generate_ellipse_mesh(32 * 2**level)), ellipse_geometry()
     return generate_square_hole_mesh, square_hole_geometry()
 
 
@@ -170,7 +185,10 @@ def run_study(config):
             l2, h1 = error_norms(space, u_h, problem.exact_u, problem.exact_grad)
             delta = geometric_gap(mesh, geometry)
         except PefemError as exc:
-            raise type(exc)(f"level {level}: {exc}") from exc
+            # Prefix the level in place: the error keeps its type and its
+            # context (a ProjectionError's point and curve id, an element).
+            exc.args = (f"level {level}: {exc}",)
+            raise
         report.add(
             LevelResult(
                 level=level,

@@ -3,8 +3,12 @@
 The true boundary of the computational domain is represented as a set of
 components, each given by a level set that is negative inside the domain,
 zero on the boundary and positive outside.  Components may additionally
-carry an exact closest-point formula (circles, straight segments); a damped
-Newton iteration on the projection optimality system is used otherwise.
+carry an exact closest-point formula (circles, straight segments).  The
+others, such as the ellipse, are projected by a damped Gauss-Newton
+iteration on the projection optimality system, run over all the points of
+a `closest_point` call at once: each point carries its own iterate,
+damping and stopping test, and the loop runs until the slowest point has
+converged.
 """
 
 import logging
@@ -117,76 +121,113 @@ class BoundaryGeometry:
     def closest_point(self, xi, curve_id):
         """Project points on or near the polygonal boundary onto the true one.
 
-        Accepts a single point or an (n, 2) array; uses the component's
-        exact formula when available and damped Newton otherwise.
+        Accepts a single point or an (n, 2) array.  Uses the component's
+        exact formula when it has one, else one damped Gauss-Newton
+        iteration over all the points at once (see `_newton_project`),
+        which logs one DEBUG record: the curve id, the number of points,
+        the iterations of the slowest point, the worst |phi| and the worst
+        |eta - xi|.  ProjectionError names the first point whose result is
+        off the curve (|phi| above 1e-12, or NaN).
         """
         comp = self.component(curve_id)
         pts = np.atleast_2d(np.asarray(xi, dtype=float))
         if comp.project is not None:
             out = comp.project(pts)
         else:
-            out = np.array([self._newton_project(p, comp, curve_id) for p in pts])
+            out, iterations = _newton_project(comp, pts, curve_id)
         phi = np.abs(comp.level_set(out[:, 0], out[:, 1]))
-        if np.any(phi > ON_BOUNDARY_TOL):
-            bad = int(np.argmax(phi))
+        off = ~(phi <= ON_BOUNDARY_TOL)
+        if np.any(off):
+            bad = int(np.argmax(off))
             raise ProjectionError(
                 pts[bad],
                 curve_id,
-                f"projected point {tuple(out[bad])} is off the boundary "
+                f"projected point {tuple(out[bad].tolist())} is off the boundary "
                 f"(|phi| = {phi[bad]:.3e})",
             )
-        return out[0] if np.asarray(xi).ndim == 1 else out
-
-    def _newton_project(self, xi, comp, curve_id):
-        # Lagrange-Newton on the optimality system of
-        # min |x - xi|^2  s.t.  phi(x) = 0,
-        # i.e. x - xi + lam * grad phi(x) = 0, phi(x) = 0, with the
-        # Hessian of phi approximated by zero (Gauss-Newton flavor).
-        x = np.array(xi, dtype=float)
-        lam = 0.0
-        for _ in range(NEWTON_MAX_ITER):
-            gx, gy = comp.gradient(x[0], x[1])
-            g = np.array([float(gx), float(gy)])
-            phi = float(comp.level_set(x[0], x[1]))
-            jac = np.array(
-                [
-                    [1.0, 0.0, g[0]],
-                    [0.0, 1.0, g[1]],
-                    [g[0], g[1], 0.0],
-                ]
+        if comp.project is None:
+            moved = np.hypot(*(out - pts).T)
+            log.debug(
+                "newton: component %r, %d points, %d iterations, max |phi| %.3e, "
+                "max |eta - xi| %.3e",
+                curve_id,
+                len(pts),
+                iterations,
+                np.max(phi, initial=0.0),
+                np.max(moved, initial=0.0),
             )
-            res = np.array([x[0] - xi[0] + lam * g[0], x[1] - xi[1] + lam * g[1], phi])
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                raise ProjectionError(xi, curve_id, "singular projection Jacobian")
-            # Damp steps so the iterate cannot overshoot far from the seed.
-            step_len = np.linalg.norm(step[:2])
-            scale = 1.0 if step_len <= 1.0 else 1.0 / step_len
-            x += scale * step[:2]
-            lam += scale * step[2]
-            if step_len <= NEWTON_TOL:
-                return x
-        raise ProjectionError(xi, curve_id, "no convergence in 50 iterations")
+        return out[0] if np.asarray(xi).ndim == 1 else out
 
     def unit_normal(self, x, curve_id):
         """Outward unit normal of the domain at points on the true boundary."""
         comp = self.component(curve_id)
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         phi = np.abs(comp.level_set(pts[:, 0], pts[:, 1]))
-        if np.any(phi > 1e-10):
+        off = ~(phi <= 1e-10)
+        if np.any(off):
+            bad = int(np.argmax(off))
             raise ValueError(
-                f"normal requested off the boundary (|phi| = {phi.max():.3e})"
+                f"normal requested off the boundary at {tuple(pts[bad].tolist())} "
+                f"(|phi| = {phi[bad]:.3e})"
             )
         gx, gy = comp.gradient(pts[:, 0], pts[:, 1])
         g = np.stack([np.broadcast_to(gx, len(pts)), np.broadcast_to(gy, len(pts))], axis=-1)
         norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        if np.any(norm < 1e-10):
+        flat = ~(norm[:, 0] >= 1e-10)
+        if np.any(flat):
             raise DegenerateGradientError(
-                f"level-set gradient below 1e-10 on component {curve_id!r}"
+                f"level-set gradient below 1e-10 at {tuple(pts[np.argmax(flat)].tolist())} "
+                f"on component {curve_id!r}"
             )
         n = g / norm
         return n[0] if np.asarray(x).ndim == 1 else n
+
+
+def _newton_project(comp, xi, curve_id):
+    """Closest points of xi (n, 2) on a level set, all points at once.
+
+    Lagrange-Newton on the optimality system of
+    min |x - xi|^2  s.t.  phi(x) = 0, i.e. x - xi + lam grad phi(x) = 0 and
+    phi(x) = 0, with the Hessian of phi taken as zero (Gauss-Newton).  With
+    g = grad phi and r = x - xi + lam g, the step solves
+    [[1, 0, gx], [0, 1, gy], [gx, gy, 0]] (dx, dlam) = -(r, phi), in closed
+    form dlam = (phi - g.r) / |g|^2, dx = -r - g dlam.  Each point's step
+    is damped to length at most 1, and a point stops after a step of
+    length at most NEWTON_TOL; the others iterate on.  A NaN step never
+    counts as converged.  ProjectionError names a point where |g| = 0, or
+    the first point still unconverged after NEWTON_MAX_ITER iterations.
+    Returns the points and the iteration count of the slowest one.
+    """
+    x = xi.copy()
+    lam = np.zeros(len(xi))
+    active = np.arange(len(xi))
+    iterations = 0
+    while active.size:
+        if iterations == NEWTON_MAX_ITER:
+            raise ProjectionError(
+                xi[active[0]], curve_id, f"no convergence in {NEWTON_MAX_ITER} iterations"
+            )
+        iterations += 1
+        xa, la = x[active], lam[active]
+        gx, gy = comp.gradient(xa[:, 0], xa[:, 1])
+        g = np.column_stack([np.broadcast_to(gx, la.shape), np.broadcast_to(gy, la.shape)])
+        phi = comp.level_set(xa[:, 0], xa[:, 1])
+        r = xa - xi[active] + la[:, None] * g
+        gg = np.einsum("ij,ij->i", g, g)
+        singular = gg == 0.0
+        if np.any(singular):
+            raise ProjectionError(
+                xi[active[np.argmax(singular)]], curve_id, "singular projection Jacobian"
+            )
+        dlam = (phi - np.einsum("ij,ij->i", g, r)) / gg
+        dx = -r - g * dlam[:, None]
+        step = np.hypot(dx[:, 0], dx[:, 1])
+        # Damp steps so an iterate cannot overshoot far from its seed.
+        scale = 1.0 / np.maximum(step, 1.0)
+        x[active] = xa + scale[:, None] * dx
+        lam[active] = la + scale * dlam
+        active = active[~(step <= NEWTON_TOL)]
+    return x, iterations
 
 
 def geometric_gap(mesh, geometry):
@@ -229,6 +270,23 @@ def square_hole_geometry(half_width=0.5, hole_radius=0.25, center=(0.0, 0.0)):
             "hole": circle_component(center, hole_radius, domain_side="outside"),
         }
     )
+
+
+def ellipse_geometry(a=1.0, b=0.6):
+    """Ellipse (x/a)^2 + (y/b)^2 <= 1, one component ``ellipse``.
+
+    Its level set is (x/a)^2 + (y/b)^2 - 1.  It has no closed-form
+    projection, so `closest_point` projects onto it by Newton iteration.
+    """
+    a, b = float(a), float(b)
+
+    def level_set(x, y):
+        return (np.asarray(x) / a) ** 2 + (np.asarray(y) / b) ** 2 - 1.0
+
+    def gradient(x, y):
+        return 2.0 * np.asarray(x) / a**2, 2.0 * np.asarray(y) / b**2
+
+    return BoundaryGeometry({"ellipse": BoundaryComponent(level_set, gradient)})
 
 
 def square_geometry(center=(0.0, 0.0), half_width=0.5):

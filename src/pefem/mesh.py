@@ -164,6 +164,27 @@ def generate_disk_mesh(n_boundary):
     Vertices are laid out on concentric rings whose point counts grow in
     proportion to the radius; the ring point cloud is then triangulated.
     """
+    vertices, triangles = _disk_triangulation(n_boundary)
+    return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "circle"))
+
+
+def generate_ellipse_mesh(n_boundary, a=1.0, b=0.6):
+    """Mesh the ellipse (x/a)^2 + (y/b)^2 <= 1: the disk mesh scaled by
+    diag(a, b), its boundary edges tagged ``ellipse``.
+
+    Scaling flattens the triangles; at a = 1, b = 0.6 the minimum angle
+    passes `validate`'s 20 degrees from n_boundary = 32 on (19.1 degrees
+    at 16).
+    """
+    if not (a > 0 and b > 0):
+        raise ValueError(f"ellipse axes must be positive, got a={a}, b={b}")
+    vertices, triangles = _disk_triangulation(n_boundary)
+    vertices = vertices * np.array([a, b], dtype=float)
+    return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "ellipse"))
+
+
+def _disk_triangulation(n_boundary):
+    """Vertices and CCW triangles of the unit-disk mesh."""
     if n_boundary < 8:
         raise ValueError("n_boundary must be at least 8")
     chord = 2.0 * math.sin(math.pi / n_boundary)
@@ -181,8 +202,7 @@ def generate_disk_mesh(n_boundary):
         theta = 2.0 * math.pi * np.arange(n_j) / n_j + offset
         pts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
     vertices = np.array(pts)
-    triangles = _orient_ccw(vertices, Delaunay(vertices).simplices)
-    return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "circle"))
+    return vertices, _orient_ccw(vertices, Delaunay(vertices).simplices)
 
 
 def generate_square_hole_mesh(n_refine):
@@ -302,7 +322,7 @@ def validate(mesh, geometry=None):
         vids, at = np.unique(ends, return_index=True)
         cids = np.repeat(curve, 2)[at]
         phi = _per_curve(level, verts[vids], cids)
-        for i in np.flatnonzero(np.abs(phi) > 1e-10):
+        for i in np.flatnonzero(~(np.abs(phi) <= 1e-10)):
             v.append(f"vertex {vids[i]}: off true boundary {cids[i]!r} (phi = {phi[i]:.3e})")
 
     worst = mesh.min_angle_deg()

@@ -1,5 +1,8 @@
 """Tests for the command-line runner and its output files."""
 
+import logging
+
+import numpy as np
 import pytest
 
 from pefem.cli import (
@@ -12,7 +15,7 @@ from pefem.cli import (
     render_csv,
     run_study,
 )
-from pefem.errors import ConfigurationError
+from pefem.errors import ConfigurationError, ProjectionError
 
 CSV_HEADER = "level,h,delta_h,dofs,l2_error,h1_error,l2_rate_pairwise,h1_rate_pairwise"
 
@@ -62,6 +65,9 @@ class TestConfig:
         assert ExperimentConfig(domain="disk").problem == "convex-cos"
         assert ExperimentConfig(domain="square_hole").problem == "nonconvex-rational"
 
+    def test_ellipse_defaults_to_the_cosine(self):
+        assert ExperimentConfig(domain="ellipse").problem == "convex-cos"
+
 
 class TestRunStudy:
     def test_disk_quadratic_weak_dirichlet(self):
@@ -108,6 +114,28 @@ class TestRunStudy:
         key = "g_N" if bc_kind == "neumann" else "g_D"
         with pytest.raises(ConfigurationError, match=f"^level 0: {key} inconsistent"):
             run_study(config)
+
+    def test_projection_error_keeps_its_context(self, monkeypatch, capsys):
+        # An ellipse whose gradient is NaN off the x axis: Newton fails.
+        import pefem.cli
+        from pefem.geometry import BoundaryComponent, BoundaryGeometry, ellipse_geometry
+
+        ellipse = ellipse_geometry().component("ellipse")
+
+        def gradient(x, y):
+            gx, gy = ellipse.gradient(x, y)
+            return gx, np.where(np.asarray(y) == 0.0, gy, np.nan)
+
+        broken = BoundaryGeometry({"ellipse": BoundaryComponent(ellipse.level_set, gradient)})
+        monkeypatch.setattr(pefem.cli, "ellipse_geometry", lambda: broken)
+        config = ExperimentConfig(domain="ellipse", method="pefem-dirichlet-strong", k=2, levels=2)
+        with pytest.raises(ProjectionError, match="^level 0: no convergence") as info:
+            run_study(config)
+        assert info.value.curve_id == "ellipse"
+        assert len(info.value.point) == 2
+        args = ["run", "--domain", "ellipse", "--method", "pefem-dirichlet-strong", "--levels", "2"]
+        assert main(args) == 2
+        assert "error: level 0: no convergence in 50 iterations" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +189,19 @@ class TestOutputs:
         csv2 = (tmp_path / "r2" / "results.csv").read_bytes()
         assert csv1 == csv2
 
+    def test_newton_diagnostics_leave_outputs_unchanged(self, tmp_path, caplog):
+        # The ellipse runs the Newton projection, which logs at DEBUG; the
+        # results are the same bytes with that logging on and off.
+        args = ["run", "--domain", "ellipse", "--method", "pefem-dirichlet-strong"]
+        args += ["--k", "1", "--levels", "2"]
+        assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.DEBUG, logger="pefem.geometry"):
+            assert main(args + ["--out", str(tmp_path / "logged")]) == 0
+        assert any(r.getMessage().startswith("newton: component 'ellipse'") for r in caplog.records)
+        for name in ("results.csv", "results.md"):
+            quiet = (tmp_path / "quiet" / name).read_bytes()
+            assert quiet == (tmp_path / "logged" / name).read_bytes()
+
 
 class TestMainEntry:
     def test_patch_subcommand(self, capsys):
@@ -176,6 +217,20 @@ class TestMainEntry:
 
         mesh = read_mesh(out.read_text())
         assert len(mesh.triangles) == 64
+
+    def test_ellipse_subcommands(self, tmp_path, capsys):
+        out = tmp_path / "ellipse.txt"
+        assert main(["mesh", "--domain", "ellipse", "--level", "0", "--out", str(out)]) == 0
+        from pefem.mesh import read_mesh
+
+        mesh = read_mesh(out.read_text())
+        assert len(mesh.boundary_edges) == 32
+        assert {e[3] for e in mesh.boundary_edges} == {"ellipse"}
+        code = main(["patch", "--k", "3", "--method", "pefem-neumann", "--domain", "ellipse"])
+        assert code == 0 and "PASS" in capsys.readouterr().out
+        args = ["run", "--domain", "ellipse", "--method", "pefem-dirichlet-weak", "--levels", "3"]
+        code = main(args + ["--k", "2"])
+        assert code == 0 and "rate gates: PASS" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

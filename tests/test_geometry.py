@@ -1,20 +1,37 @@
 """Tests for level sets, closest-point projection, normals, and the gap."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pefem.errors import ProjectionError
+from pefem.errors import DegenerateGradientError, ProjectionError
 from pefem.geometry import (
     BoundaryComponent,
     BoundaryGeometry,
+    circle_component,
     disk_geometry,
+    ellipse_geometry,
     geometric_gap,
     square_geometry,
     square_hole_geometry,
 )
 from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh
+from test_edge_table import PROPERTY
+
+
+def _with_gradient(gradient, project=None):
+    """The default ellipse's level set with another gradient or projection."""
+    level_set = ellipse_geometry().component("ellipse").level_set
+    return BoundaryGeometry({"e": BoundaryComponent(level_set, gradient, project)})
+
+
+def _nan_pair(x, y):
+    nan = np.full(np.shape(x), np.nan)
+    return nan, nan
 
 
 class TestClosestPoint:
@@ -65,29 +82,34 @@ class TestClosestPoint:
         with pytest.raises(KeyError):
             geo.closest_point(np.array([0.5, 0.0]), "nope")
 
+    def test_nan_projection_is_refused(self):
+        # A closed-form projection that yields NaN for one point: the
+        # on-curve check must name that point, not return the NaN.
+        circle = circle_component((0.0, 0.0), 1.0)
+
+        def project(points):
+            out = circle.project(points)
+            out[1] = np.nan
+            return out
+
+        geo = BoundaryGeometry({"c": BoundaryComponent(circle.level_set, circle.gradient, project)})
+        with pytest.raises(ProjectionError, match="off the boundary") as info:
+            geo.closest_point(np.array([[0.5, 0.0], [0.0, 0.3], [0.2, 0.2]]), "c")
+        assert info.value.point == (0.0, 0.3)
+
 
 class TestNewtonProjection:
     """A component with no closed-form projection exercises the iteration."""
 
-    @staticmethod
-    def _ellipse(a=1.0, b=0.6):
-        def level_set(x, y):
-            return (np.asarray(x) / a) ** 2 + (np.asarray(y) / b) ** 2 - 1.0
-
-        def gradient(x, y):
-            return 2.0 * np.asarray(x) / a**2, 2.0 * np.asarray(y) / b**2
-
-        return BoundaryGeometry({"ellipse": BoundaryComponent(level_set, gradient)})
-
     def test_converges_onto_level_set(self):
-        geo = self._ellipse()
+        geo = ellipse_geometry()
         pts = np.array([[0.9, 0.0], [0.0, 0.5], [0.5, 0.3], [-0.6, -0.2]])
         eta = geo.closest_point(pts, "ellipse")
         comp = geo.component("ellipse")
         assert np.abs(comp.level_set(eta[:, 0], eta[:, 1])).max() <= 1e-12
 
     def test_axis_points_project_to_vertices(self):
-        geo = self._ellipse()
+        geo = ellipse_geometry()
         eta = geo.closest_point(np.array([0.9, 0.0]), "ellipse")
         assert np.allclose(eta, [1.0, 0.0], atol=1e-10)
         eta = geo.closest_point(np.array([0.0, 0.5]), "ellipse")
@@ -122,6 +144,87 @@ class TestNewtonProjection:
         with pytest.raises(ProjectionError):
             geo.closest_point(np.array([0.1, 0.2]), "bad")
 
+    def test_batch_equals_each_point_alone(self):
+        # Points inside and outside, near and far, with different
+        # iteration counts: a point's result does not depend on its batch.
+        geo = ellipse_geometry()
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 2.0 * math.pi, 40)
+        pts = np.column_stack([np.cos(t), 0.6 * np.sin(t)]) * rng.uniform(0.85, 1.15, (40, 1))
+        pts = np.concatenate([pts, [[0.9, 0.0], [0.0, 0.5], [1.0, 0.0]]])
+        batch = geo.closest_point(pts, "ellipse")
+        alone = np.array([geo.closest_point(p, "ellipse") for p in pts])
+        assert np.abs(batch - alone).max() <= 1e-15
+
+    @PROPERTY
+    @given(
+        st.floats(0.3, 2.0),
+        st.floats(0.3, 2.0),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-0.499, 0.499),
+    )
+    def test_offset_along_the_normal_projects_back(self, a, b, t, fraction):
+        # Inside, a point within the ellipse's smallest radius of curvature
+        # min(a, b)^2 / max(a, b) of the curve has a unique closest point;
+        # outside, every point has.  Half that radius is used both ways.
+        geo = ellipse_geometry(a, b)
+        on = np.array([a * math.cos(t), b * math.sin(t)])
+        normal = np.array([math.cos(t) / a, math.sin(t) / b])
+        normal /= np.linalg.norm(normal)
+        offset = fraction * min(a, b) ** 2 / max(a, b)
+        eta = geo.closest_point(on + offset * normal, "ellipse")
+        assert np.abs(eta - on).max() <= 1e-10
+        assert abs(geo.component("ellipse").level_set(*eta)) <= 1e-12
+
+    def test_zero_gradient_names_its_point(self):
+        # The centre of the ellipse has grad phi = 0 among good points.
+        geo = ellipse_geometry()
+        pts = np.array([[0.9, 0.0], [0.5, 0.3], [0.0, 0.0], [-0.6, -0.2]])
+        with pytest.raises(ProjectionError, match="singular projection Jacobian") as info:
+            geo.closest_point(pts, "ellipse")
+        assert info.value.point == (0.0, 0.0)
+        assert info.value.curve_id == "ellipse"
+
+    def test_nan_gradient_is_refused(self):
+        # A NaN step must never count as converged.
+        geo = _with_gradient(_nan_pair)
+        with pytest.raises(ProjectionError, match="no convergence in 50 iterations"):
+            geo.closest_point(np.array([0.9, 0.1]), "e")
+
+    def test_nan_gradient_in_a_batch_names_its_point(self):
+        good = ellipse_geometry().component("ellipse").gradient
+
+        def gradient(x, y):
+            gx, gy = good(x, y)
+            bad = np.asarray(y) < 0.0
+            return np.where(bad, np.nan, gx), np.where(bad, np.nan, gy)
+
+        geo = _with_gradient(gradient)
+        pts = np.array([[0.9, 0.1], [0.5, 0.3], [0.4, -0.3], [-0.6, -0.2]])
+        with pytest.raises(ProjectionError) as info:
+            geo.closest_point(pts, "e")
+        assert info.value.point == (0.4, -0.3)
+
+    def test_logs_one_record_per_batch(self, caplog):
+        geo = ellipse_geometry()
+        pts = np.array([[0.9, 0.0], [0.5, 0.3], [-0.6, -0.2], [1.0, 0.0]])
+        with caplog.at_level(logging.DEBUG, logger="pefem.geometry"):
+            eta = geo.closest_point(pts, "ellipse")
+            disk_geometry().closest_point(pts, "circle")
+        records = [r for r in caplog.records if r.name == "pefem.geometry"]
+        assert len(records) == 1
+        curve_id, n, iterations, phi, moved = records[0].args
+        assert records[0].levelno == logging.DEBUG
+        assert (curve_id, n) == ("ellipse", 4)
+        assert 2 <= iterations <= 50
+        level_set = geo.component("ellipse").level_set
+        assert phi == np.abs(level_set(eta[:, 0], eta[:, 1])).max() <= 1e-12
+        assert moved == pytest.approx(np.linalg.norm(eta - pts, axis=1).max(), rel=1e-15)
+        # Points already on the curve stop after one zero step.
+        with caplog.at_level(logging.DEBUG, logger="pefem.geometry"):
+            geo.closest_point(np.array([[1.0, 0.0], [-1.0, 0.0]]), "ellipse")
+        assert caplog.records[-1].args[2] == 1
+
 
 class TestUnitNormal:
     def test_circle_normal_is_radial(self):
@@ -145,6 +248,16 @@ class TestUnitNormal:
         geo = disk_geometry()
         with pytest.raises(ValueError):
             geo.unit_normal(np.array([0.5, 0.0]), "circle")
+
+    def test_rejects_nan_points(self):
+        geo = disk_geometry()
+        with pytest.raises(ValueError, match=r"at \(nan, 0.0\)"):
+            geo.unit_normal(np.array([[1.0, 0.0], [np.nan, 0.0]]), "circle")
+
+    def test_rejects_nan_gradient(self):
+        geo = _with_gradient(_nan_pair)
+        with pytest.raises(DegenerateGradientError, match=r"at \(1.0, 0.0\)"):
+            geo.unit_normal(np.array([[1.0, 0.0]]), "e")
 
 
 class TestGeometricGap:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from pefem.errors import MeshFormatError
-from pefem.geometry import disk_geometry, geometric_gap, square_hole_geometry
+from pefem.geometry import (
+    BoundaryComponent,
+    BoundaryGeometry,
+    disk_geometry,
+    geometric_gap,
+    square_hole_geometry,
+)
 from pefem.mesh import (
     Mesh,
     generate_disk_mesh,
@@ -148,6 +154,21 @@ class TestValidate:
         report = validate(Mesh(verts, mesh.triangles, mesh.boundary_edges), disk_geometry())
         off = [v for v in report.violations if "off true boundary" in v]
         assert off == [f"vertex {vid}: off true boundary 'circle' (phi = 1.000e-02)" for vid in moved]
+
+    def test_detects_nan_level_set(self):
+        # A level set that is NaN at one boundary vertex flags that vertex.
+        mesh = generate_disk_mesh(16)
+        circle = disk_geometry().component("circle")
+        vid = boundary_vertex_ids(mesh)[0]
+        x0, y0 = mesh.vertices[vid]
+
+        def level_set(x, y):
+            at = (np.asarray(x) == x0) & (np.asarray(y) == y0)
+            return np.where(at, np.nan, circle.level_set(x, y))
+
+        geo = BoundaryGeometry({"circle": BoundaryComponent(level_set, circle.gradient)})
+        off = [v for v in validate(mesh, geo).violations if "off true boundary" in v]
+        assert off == [f"vertex {vid}: off true boundary 'circle' (phi = nan)"]
 
     def test_detects_poor_angles(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.01]])
