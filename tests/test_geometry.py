@@ -23,10 +23,10 @@ from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh
 from test_edge_table import PROPERTY
 
 
-def _with_gradient(gradient, project=None):
-    """The default ellipse's level set with another gradient or projection."""
+def _with_gradient(gradient):
+    """The default ellipse's level set with another gradient."""
     level_set = ellipse_geometry().component("ellipse").level_set
-    return BoundaryGeometry({"e": BoundaryComponent(level_set, gradient, project)})
+    return BoundaryGeometry({"e": BoundaryComponent(level_set, gradient)})
 
 
 def _nan_pair(x, y):
