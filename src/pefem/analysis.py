@@ -7,13 +7,15 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, SingularSystemError, SolverError
-from .fem import _reference_tables, _volume_quadrature
+from .errors import AssemblyError, ConfigurationError, SingularSystemError, SolverError
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-12
 MAX_REFINEMENT_STEPS = 10
+# The H1 error a patch test allows; `patch_test` scales it by the random
+# polynomial's coefficient sum when that exceeds one.
+PATCH_TOL = 1e-8
 # Veltkamp's splitting constant 2^27 + 1: a double times it splits into
 # two halves of at most 26 significant bits, whose products are exact.
 _SPLITTER = 134217729.0
@@ -222,20 +224,24 @@ def compensated_residual(A, x, F):
 def error_norms(space, u_h, exact_u, exact_grad):
     """Broken L2 and H1 errors against a globally defined exact solution.
 
-    Both are element-wise quadratures over the polygonal domain; the H1
-    norm includes the L2 part.
+    Both are element-wise quadratures over the polygonal domain, at the
+    space's `quad_points`; the H1 norm includes the L2 part.  AssemblyError
+    names the first element where the exact value or gradient is not finite.
     """
     if exact_u is None or exact_grad is None:
         raise ConfigurationError("error norms need the exact solution and gradient")
-    x, w = _volume_quadrature(space)
-    vals, grads, _grad_grad, _val_val = _reference_tables(space.degree)
+    x, w = space.quad_points, space.quad_weights
     local = np.asarray(u_h)[space.cell_dofs]  # (m, nb)
-    uh_vals = np.einsum("mb,qb->mq", local, vals)
-    uh_ref_grads = np.einsum("mb,qbd->mqd", local, grads)
+    uh_vals = np.einsum("mb,qb->mq", local, space.quad_values)
+    uh_ref_grads = np.einsum("mb,qbd->mqd", local, space.quad_grads)
     uh_grads = np.einsum("mqd,mde->mqe", uh_ref_grads, space.Binv)
 
     u_vals = exact_u(x[..., 0], x[..., 1])
     gx, gy = exact_grad(x[..., 0], x[..., 1])
+    finite = np.broadcast_to(np.isfinite(u_vals) & np.isfinite(gx) & np.isfinite(gy), w.shape)
+    if not np.all(finite):
+        element = int(np.argmin(finite.all(axis=1)))
+        raise AssemblyError("non-finite exact solution value or gradient", element=element)
     l2_sq = float(np.sum(w * (u_vals - uh_vals) ** 2))
     grad_sq = float(
         np.sum(w * ((gx - uh_grads[..., 0]) ** 2 + (gy - uh_grads[..., 1]) ** 2))
@@ -244,14 +250,18 @@ def error_norms(space, u_h, exact_u, exact_grad):
 
 
 def fit_rate(points):
-    """Least-squares slope of log(error) vs log(h), plus pairwise rates."""
+    """Least-squares slope of log(error) vs log(h), plus pairwise rates.
+
+    ValueError for fewer than two points, repeated h, or an h or error
+    that is not positive and finite (NaN included).
+    """
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 2:
         raise ValueError("need at least two (h, error) points")
     h = np.array([p[0] for p in pts])
     e = np.array([p[1] for p in pts])
-    if np.any(h <= 0) or np.any(e <= 0):
-        raise ValueError("h and error values must be positive")
+    if not np.all((h > 0) & (e > 0) & np.isfinite(h) & np.isfinite(e)):
+        raise ValueError(f"h and error values must be positive and finite, got {pts}")
     if len(np.unique(h)) != len(h):
         raise ValueError("h values must be distinct")
     slope = float(np.polyfit(np.log(h), np.log(e), 1)[0])
@@ -281,7 +291,7 @@ class ConvergenceReport:
     levels: list = field(default_factory=list)
 
     def add(self, result):
-        if self.levels and result.h >= self.levels[-1].h:
+        if self.levels and not result.h < self.levels[-1].h:
             raise ValueError("mesh size must decrease across levels")
         self.levels.append(result)
 
@@ -310,19 +320,20 @@ class ConvergenceReport:
         return out
 
 
-def patch_test(space, geometry, assemble, make_problem, degree, rng):
-    """Solve for a random polynomial of the discretization degree and
-    report whether it is reproduced to solver accuracy.
+def patch_test(space, geometry, assemble, make_problem, rng):
+    """Solve for a random polynomial of the space's degree and report
+    whether it is reproduced to solver accuracy: (H1 error within
+    PATCH_TOL, H1 error).
 
     `assemble` maps (space, problem, geometry) to a linear system;
     `make_problem` maps a random polynomial to a ProblemSpec.
     """
     from .problems import random_polynomial
 
-    poly = random_polynomial(degree, rng)
+    poly = random_polynomial(space.degree, rng)
     problem = make_problem(poly)
     system = assemble(space, problem, geometry)
     u_h = solve(system)
     l2, h1 = error_norms(space, u_h, problem.exact_u, problem.exact_grad)
     scale = max(1.0, np.abs(poly.coeffs).sum())
-    return h1 <= 1e-8 * scale, h1
+    return h1 <= PATCH_TOL * scale, h1

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ConvergenceReport, LevelResult, error_norms, patch_test, solve
+from .analysis import PATCH_TOL, ConvergenceReport, LevelResult, error_norms, patch_test, solve
 from .errors import ConfigurationError, PefemError
 from .fem import FeSpace
 from .forms import (
@@ -41,8 +41,6 @@ from .mesh import (
     write_mesh,
 )
 from .problems import polynomial_problem, preset_problem, random_polynomial
-
-PATCH_TOL = 1e-8
 
 METHODS = (
     "pefem-dirichlet-weak",
@@ -319,7 +317,6 @@ def cmd_patch(args):
         geometry,
         _assembler(config),
         lambda poly: polynomial_problem(poly, config.bc_kind),
-        config.k,
         np.random.default_rng(config.seed),
     )
     print(

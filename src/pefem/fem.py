@@ -168,8 +168,15 @@ def affine_map(vertices):
 
 class FeSpace:
     """Global P_k space on a mesh: dof numbering, boundary dof sets, the
-    element maps `B`, `origin`, `det`, `Binv` from one `affine_map` call,
-    and the degree's quadrature `rule`.
+    element maps `origin` and `Binv` from one `affine_map` call, the
+    degree's quadrature `rule`, and the volume quadrature every volume
+    form reads:
+
+    - `quad_points` (n_elements, n_q, 2): the rule's triangle points in
+      each element, mapped by the same x = B xi + b as `dof_coords`;
+    - `quad_weights` (n_elements, n_q): the rule's weights times det(B);
+    - `quad_values` (n_q, n_b) and `quad_grads` (n_q, n_b, 2): the
+      reference basis and its reference gradients at the rule's points.
 
     Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
     from the lower- to the higher-numbered vertex), then the element-interior
@@ -221,10 +228,14 @@ class FeSpace:
         self.cell_dofs = cell_dofs
 
         self.rule = quadrature_for_degree(k)
-        self.B, self.origin, self.det, self.Binv = affine_map(mesh.vertices[tris])
+        B, self.origin, det, self.Binv = affine_map(mesh.vertices[tris])
+        to_physical = lambda ref_pts: ref_pts @ np.swapaxes(B, -1, -2) + self.origin[:, None, :]
         coords = np.empty((self.n_dofs, 2))
-        coords[cell_dofs] = self.ref.nodes @ np.swapaxes(self.B, -1, -2) + self.origin[:, None, :]
+        coords[cell_dofs] = to_physical(self.ref.nodes)
         self.dof_coords = coords
+        self.quad_points = to_physical(self.rule.triangle_points)
+        self.quad_weights = self.rule.triangle_weights * det[:, None]
+        self.quad_values, self.quad_grads = self.ref.eval(self.rule.triangle_points)
 
         ends, _tri, _curve = mesh.boundary_table
         first = self._edge_dof(ends[:, 0], ends[:, 1])
@@ -288,48 +299,28 @@ def eval_fe(space, coefficients, element, points):
     return (values[0], gradients[0]) if scalar else (values, gradients)
 
 
-def _volume_quadrature(space):
-    """Physical quadrature points (m, n_q, 2) of every element and their
-    weights w_q det_m (m, n_q)."""
-    rule = space.rule
-    x = np.einsum("qd,med->mqe", rule.triangle_points, space.B) + space.origin[:, None, :]
-    return x, rule.triangle_weights[None, :] * space.det[:, None]
-
-
-@lru_cache(maxsize=8)
-def _reference_tables(degree):
-    """Reference basis tables at the triangle points of the degree's rule.
-
-    Returns values (n_q, n_b), gradients (n_q, n_b, 2), the gradient
-    products d_d phi_b d_e phi_c as (n_q * 4, n_b^2) with rows (q, d, e),
-    and the value products phi_b phi_c as (n_q, n_b^2); columns are (b, c).
-    The cache shares the arrays between calls: callers must not modify them.
-    """
-    vals, grads = reference_element(degree).eval(quadrature_for_degree(degree).triangle_points)
-    nq, nb = vals.shape
-    grad_grad = np.einsum("qbd,qce->qdebc", grads, grads).reshape(nq * 4, nb * nb)
-    val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
-    return vals, grads, grad_grad, val_val
-
-
 def assemble_operator(space, p=None, q=None):
     """Stiffness form of p (default 1), plus the mass form of q if given.
 
-    p and q are vectorized callables (x, y) -> values.  Elements are
-    affine, so the stiffness contracts w p (Binv Binv^T) per element
-    against the reference table of gradient products.
+    p and q are vectorized callables (x, y) -> values, evaluated at the
+    space's `quad_points`.  Elements are affine, so the stiffness contracts
+    w p (Binv Binv^T) per element against the products of the reference
+    gradients d_d phi_b d_e phi_c at the quadrature points, and the mass
+    contracts w q against the products phi_b phi_c.
     """
-    x, w = _volume_quadrature(space)
-    _vals, _grads, grad_grad, val_val = _reference_tables(space.degree)
+    x, w = space.quad_points, space.quad_weights
+    vals, grads = space.quad_values, space.quad_grads
+    nq, nb = vals.shape
+    grad_grad = np.einsum("qbd,qce->qdebc", grads, grads).reshape(nq * 4, nb * nb)
     w_p = w if p is None else w * _eval_field(p, x, "diffusion coefficient")
     metric = np.einsum("mde,mfe->mdf", space.Binv, space.Binv)
     factor = np.einsum("mq,mdf->mqdf", w_p, metric).reshape(len(w), -1)
     local = np.einsum("mk,kn->mn", factor, grad_grad)
     if q is not None:
         w_q = w * _eval_field(q, x, "reaction coefficient")
+        val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
         local += np.einsum("mq,qn->mn", w_q, val_val)
 
-    nb = space.ref.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
     mat = sp.coo_matrix(
@@ -349,7 +340,6 @@ def _eval_field(fun, x, what):
 
 def assemble_load(space, f):
     """Load vector with entries given by the volume quadrature of f."""
-    x, w = _volume_quadrature(space)
-    vals, _grads, _grad_grad, _val_val = _reference_tables(space.degree)
-    local = np.einsum("mq,qb->mb", w * _eval_field(f, x, "source"), vals)
+    w_f = space.quad_weights * _eval_field(f, space.quad_points, "source")
+    local = np.einsum("mq,qb->mb", w_f, space.quad_values)
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)

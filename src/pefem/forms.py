@@ -71,7 +71,7 @@ def verify_problem_consistency(problem, points, normals=None, tol=1e-10):
 
 @dataclass
 class LinearSystem:
-    """Assembled sparse system; boundary-constraint rows are recorded.
+    """Assembled sparse system A x = F.
 
     The matrix is nonsymmetric in general: constraint rows couple a
     boundary test function to every dof of the adjacent element.
@@ -81,7 +81,6 @@ class LinearSystem:
 
     A: sparse.csr_matrix
     F: np.ndarray
-    boundary_rows: np.ndarray
     theta: float = 0.0
     bubble_dofs: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
 
@@ -182,7 +181,7 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     F = assemble_load(space, problem.f)
     rows = space.boundary_dofs
     A, F = _replace_rows(stiffness, F, rows, edges.matrix(block), rhs[rows])
-    return LinearSystem(A, F, rows.copy(), theta, bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F, theta, bubble_dofs=space.bubble_dofs)
 
 
 def assemble_pefem_dirichlet_strong(space, problem, geometry):
@@ -205,7 +204,7 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     stiffness = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, constraint, problem.g_D(eta[:, 0], eta[:, 1]))
-    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
 
 
 def _flux_correction(space, problem, geometry, edges, x, eta, weights):
@@ -244,7 +243,7 @@ def assemble_pefem_neumann(space, problem, geometry):
     F = assemble_load(space, problem.f)
     F += edges.load(np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
     A = (A + edges.matrix(block)).tocsr()
-    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
 
 
 def assemble_tau_neumann(space, problem, geometry):
@@ -281,4 +280,4 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
     stiffness = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     A, F = _replace_rows(stiffness, F, dofs, identity, datum(xi[:, 0], xi[:, 1]))
-    return LinearSystem(A, F, space.boundary_dofs.copy(), bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)

@@ -71,7 +71,7 @@ def test_criterion_1_patch_tests():
                 ("neumann", assemble_pefem_neumann, "neumann"),
             ):
                 ok, h1 = patch_test(
-                    space, geo, assemble, lambda p: polynomial_problem(p, bc), k, rng
+                    space, geo, assemble, lambda p: polynomial_problem(p, bc), rng
                 )
                 cases.append((domain, method, k, ok, h1))
     elapsed = time.time() - start

@@ -16,14 +16,14 @@ from pefem.analysis import (
     fit_rate,
     solve,
 )
-from pefem.errors import ConfigurationError, SingularSystemError, SolverError
+from pefem.errors import AssemblyError, ConfigurationError, SingularSystemError, SolverError
 from pefem.fem import FeSpace
 from pefem.forms import LinearSystem
 from pefem.mesh import generate_square_mesh
 
 
 def _system(A, F, bubble_dofs=None):
-    system = LinearSystem(sparse.csr_matrix(A), np.asarray(F, dtype=float), np.array([], dtype=int))
+    system = LinearSystem(sparse.csr_matrix(A), np.asarray(F, dtype=float))
     if bubble_dofs is not None:
         system.bubble_dofs = np.asarray(bubble_dofs)
     return system
@@ -229,6 +229,21 @@ class TestErrorNorms:
         with pytest.raises(ConfigurationError):
             error_norms(space, np.zeros(space.n_dofs), None, None)
 
+    def test_non_finite_exact_solution_names_its_element(self):
+        space = FeSpace(generate_square_mesh(2), 2)
+        zero = np.zeros(space.n_dofs)
+        # An exact solution that is NaN on the upper half of the square.
+        half_nan = lambda x, y: np.where(y > 0, np.nan, x)
+        grad = lambda x, y: (np.ones_like(x), np.zeros_like(y))
+        first = int(np.argmax((space.quad_points[..., 1] > 0).any(axis=1)))
+        assert first > 0
+        with pytest.raises(AssemblyError, match=f"element {first}: non-finite") as exc:
+            error_norms(space, zero, half_nan, grad)
+        assert exc.value.element == first
+        inf_grad = lambda x, y: (np.zeros_like(x), np.where(x > 0.25, np.inf, 1.0))
+        with pytest.raises(AssemblyError, match="non-finite exact solution value or gradient"):
+            error_norms(space, zero, lambda x, y: x, inf_grad)
+
 
 class TestFitRate:
     def test_exact_power_law(self):
@@ -261,6 +276,12 @@ class TestFitRate:
             fit_rate([(0.1, 1e-3), (-0.05, 1e-4)])
         with pytest.raises(ValueError):
             fit_rate([(0.1, 0.0), (0.05, 1e-4)])
+        # NaN fails every comparison: a `<= 0` test alone would pass it.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_rate([(0.1, bad), (0.05, 1e-3), (0.025, 1e-4)])
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_rate([(bad, 1e-2), (0.05, 1e-3), (0.025, 1e-4)])
 
 
 class TestConvergenceReport:
@@ -273,6 +294,9 @@ class TestConvergenceReport:
         report.add(self._level(0, 0.4, 1e-3, 1e-2))
         with pytest.raises(ValueError):
             report.add(self._level(1, 0.4, 1e-4, 1e-3))
+        with pytest.raises(ValueError):
+            report.add(self._level(1, np.nan, 1e-4, 1e-3))
+        assert len(report.levels) == 1
 
     def test_slopes_and_pairwise(self):
         report = ConvergenceReport(method="pefem-neumann", degree=2)

@@ -19,7 +19,13 @@ from pefem.fem import (
     segment_quadrature,
     triangle_quadrature,
 )
-from pefem.mesh import Mesh, generate_disk_mesh, generate_square_hole_mesh, generate_square_mesh
+from pefem.mesh import (
+    Mesh,
+    generate_disk_mesh,
+    generate_ellipse_mesh,
+    generate_square_hole_mesh,
+    generate_square_mesh,
+)
 
 
 class TestReferenceElement:
@@ -174,6 +180,32 @@ class TestFeSpace:
         space = FeSpace(mesh, 3)
         both = np.concatenate([space.boundary_dofs, space.interior_dofs])
         assert np.array_equal(np.sort(both), np.arange(space.n_dofs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: generate_disk_mesh(16),
+        lambda: generate_square_hole_mesh(1),
+        lambda: generate_ellipse_mesh(32),
+    ],
+    ids=["disk", "hole", "ellipse"],
+)
+def test_volume_quadrature_arrays(make_mesh, k):
+    mesh = make_mesh()
+    space = FeSpace(mesh, k)
+    xi = space.rule.triangle_points
+    for e, tri in enumerate(mesh.triangles):
+        B, b, _det, _Binv = affine_map(mesh.vertices[tri])
+        assert np.abs(space.quad_points[e] - (xi @ B.T + b)).max() <= 1e-15
+    _B, _b, det, _Binv = affine_map(mesh.vertices[mesh.triangles])
+    area = det.sum() / 2
+    assert space.quad_weights.shape == space.quad_points.shape[:2]
+    assert space.quad_weights.sum() == pytest.approx(area, rel=1e-14)
+    vals, grads = space.ref.eval(xi)
+    assert np.array_equal(space.quad_values, vals)
+    assert np.array_equal(space.quad_grads, grads)
 
 
 class TestEvalFe:

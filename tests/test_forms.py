@@ -300,7 +300,6 @@ class TestPatchTests:
             disk_geometry(),
             assemble_pefem_dirichlet,
             lambda poly: polynomial_problem(poly, "dirichlet"),
-            k,
             np.random.default_rng(100 + k),
         )
         assert ok, f"H1 error {h1:.3e}"
@@ -314,7 +313,6 @@ class TestPatchTests:
             square_hole_geometry(),
             assemble_pefem_neumann,
             lambda poly: polynomial_problem(poly, "neumann"),
-            k,
             np.random.default_rng(200 + k),
         )
         assert ok, f"H1 error {h1:.3e}"
@@ -345,7 +343,7 @@ class TestPatchTests:
 
         space = FeSpace(generate_disk_mesh(16), k)
         rng = np.random.default_rng(300 + k)
-        ok, h1 = patch_test(space, disk_geometry(), assemble, make_problem, k, rng)
+        ok, h1 = patch_test(space, disk_geometry(), assemble, make_problem, rng)
         assert ok, f"H1 error {h1:.3e}"
 
     def test_linear_preserved_by_baseline(self):
