@@ -308,16 +308,11 @@ class ConvergenceReport:
 
     def pairwise_rates(self):
         """Per-level (l2, h1) rates; None for the coarsest level."""
-        out = [(None, None)]
-        for prev, cur in zip(self.levels, self.levels[1:]):
-            ratio = np.log(prev.h / cur.h)
-            out.append(
-                (
-                    float(np.log(prev.l2_error / cur.l2_error) / ratio),
-                    float(np.log(prev.h1_error / cur.h1_error) / ratio),
-                )
-            )
-        return out
+        if len(self.levels) < 2:
+            return [(None, None)]
+        l2 = fit_rate([(l.h, l.l2_error) for l in self.levels])[1]
+        h1 = fit_rate([(l.h, l.h1_error) for l in self.levels])[1]
+        return [(None, None), *zip(l2, h1)]
 
 
 def patch_test(space, geometry, assemble, make_problem, rng):

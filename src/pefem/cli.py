@@ -10,6 +10,7 @@ override file values.
 """
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -51,18 +52,6 @@ METHODS = (
 DOMAINS = ("disk", "square_hole", "ellipse")
 PROBLEMS = ("convex-cos", "nonconvex-rational", "patch-k")
 
-CONFIG_KEYS = {
-    "domain",
-    "method",
-    "k",
-    "levels",
-    "c_theta",
-    "problem",
-    "out",
-    "seed",
-}
-
-
 class ExperimentConfig:
     """Validated settings for one convergence study."""
 
@@ -103,6 +92,9 @@ class ExperimentConfig:
     @property
     def bc_kind(self):
         return "neumann" if self.method == "pefem-neumann" else "dirichlet"
+
+
+CONFIG_KEYS = tuple(inspect.signature(ExperimentConfig).parameters)
 
 
 def parse_config_file(path):
@@ -279,16 +271,7 @@ def emit_outputs(config, report, out_dir):
 
 def cmd_run(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "k": args.k,
-        "levels": args.levels,
-        "method": args.method,
-        "domain": args.domain,
-        "out": args.out,
-        "problem": args.problem,
-        "seed": args.seed,
-        "c_theta": args.c_theta,
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     config = build_config(file_values, overrides)
     report = run_study(config)
     print(render_markdown(config, report))

@@ -5,7 +5,6 @@ or outside the reference triangle: extrapolating an element's polynomial
 past its own edges is exactly what the boundary terms of the method need.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,16 +86,6 @@ def reference_element(degree):
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points/weights on the reference triangle and on the segment [0, 1]."""
-
-    triangle_points: np.ndarray
-    triangle_weights: np.ndarray
-    segment_points: np.ndarray
-    segment_weights: np.ndarray
-
-
 def triangle_quadrature(exact_degree):
     """Conical-product rule on the reference triangle.
 
@@ -120,13 +109,6 @@ def segment_quadrature(n_points):
     """Gauss-Legendre rule on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_points)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def quadrature_for_degree(k):
-    """Default rules: triangle exact to 2k+2, segment with k+2 points."""
-    tp, tw = triangle_quadrature(2 * k + 2)
-    sp_, sw = segment_quadrature(k + 2)
-    return QuadratureRule(tp, tw, sp_, sw)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +150,23 @@ def affine_map(vertices):
 
 class FeSpace:
     """Global P_k space on a mesh: dof numbering, boundary dof sets, the
-    element maps `origin` and `Binv` from one `affine_map` call, the
-    degree's quadrature `rule`, and the volume quadrature every volume
-    form reads:
+    element maps `origin` and `Binv` from one `affine_map` call, and the
+    quadrature every form reads:
 
-    - `quad_points` (n_elements, n_q, 2): the rule's triangle points in
-      each element, mapped by the same x = B xi + b as `dof_coords`;
+    - `quad_points` (n_elements, n_q, 2): the points of the triangle rule
+      exact to degree 2k + 2 in each element, mapped by the same
+      x = B xi + b as `dof_coords`;
     - `quad_weights` (n_elements, n_q): the rule's weights times det(B);
     - `quad_values` (n_q, n_b) and `quad_grads` (n_q, n_b, 2): the
-      reference basis and its reference gradients at the rule's points.
+      reference basis and its reference gradients at the rule's points;
+    - for the E boundary edges, in `mesh.boundary_edges` order: each
+      edge's adjacent triangle `boundary_tri` (E,) and curve id
+      `boundary_curve` (E,), the local basis indices `boundary_local`
+      (E, k + 1) of its k + 1 nodes in that triangle and their global dofs
+      `boundary_edge_dofs` (E, k + 1), and the points `boundary_points`
+      (E, n_s, 2) and weights `boundary_weights` (E, n_s) of the
+      (k + 2)-point Gauss rule on it.  A tagged edge that is not an edge
+      of its adjacent triangle raises AssemblyError.
 
     Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
     from the lower- to the higher-numbered vertex), then the element-interior
@@ -227,37 +217,43 @@ class FeSpace:
         cell_dofs[:, interior] = self.bubble_dofs
         self.cell_dofs = cell_dofs
 
-        self.rule = quadrature_for_degree(k)
+        triangle_points, triangle_weights = triangle_quadrature(2 * k + 2)
         B, self.origin, det, self.Binv = affine_map(mesh.vertices[tris])
         to_physical = lambda ref_pts: ref_pts @ np.swapaxes(B, -1, -2) + self.origin[:, None, :]
         coords = np.empty((self.n_dofs, 2))
         coords[cell_dofs] = to_physical(self.ref.nodes)
         self.dof_coords = coords
-        self.quad_points = to_physical(self.rule.triangle_points)
-        self.quad_weights = self.rule.triangle_weights * det[:, None]
-        self.quad_values, self.quad_grads = self.ref.eval(self.rule.triangle_points)
+        self.quad_points = to_physical(triangle_points)
+        self.quad_weights = triangle_weights * det[:, None]
+        self.quad_values, self.quad_grads = self.ref.eval(triangle_points)
 
-        ends, _tri, _curve = mesh.boundary_table
-        first = self._edge_dof(ends[:, 0], ends[:, 1])
-        self.boundary_dofs = np.unique(
-            np.concatenate([ends.ravel(), (first[:, None] + np.arange(k - 1)).ravel()])
-        )
+        ends, tri, self.boundary_curve = mesh.boundary_table
+        valid = (tri >= 0) & (tri < nt)
+        eid = table.find(ends[:, 0], ends[:, 1])
+        is_local = table.tri_edges[np.where(valid, tri, 0)] == eid[:, None]
+        valid &= is_local.any(axis=1)
+        if not np.all(valid):
+            v0, v1 = ends[np.argmin(valid)]
+            raise AssemblyError(f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle")
+        self.boundary_tri = tri
+        self.boundary_local = self.edge_nodes[np.argmax(is_local, axis=1)]
+        self.boundary_edge_dofs = np.take_along_axis(cell_dofs[tri], self.boundary_local, axis=1)
+        a, b = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
+        segment_points, segment_weights = segment_quadrature(k + 2)
+        self.boundary_points = a[:, None, :] + segment_points[None, :, None] * (b - a)[:, None, :]
+        self.boundary_weights = segment_weights * np.linalg.norm(b - a, axis=1)[:, None]
+
+        self.boundary_dofs = np.unique(self.boundary_edge_dofs)
         self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
-
-    def _edge_dof(self, v0, v1):
-        """First interior dof of each mesh edge (v0, v1); KeyError for a
-        pair that is not an edge."""
-        v0, v1 = np.atleast_1d(v0, v1)
-        eid = self.mesh.edge_table.find(v0, v1)
-        if np.any(eid < 0):
-            bad = np.argmin(eid)
-            raise KeyError(f"({v0[bad]}, {v1[bad]}) is not a mesh edge")
-        return len(self.mesh.vertices) + eid * (self.degree - 1)
 
     def edge_dofs(self, v0, v1):
         """Global dofs whose nodes lie on the mesh edge (v0, v1), in order
-        from the edge's lower-numbered vertex."""
-        first = int(self._edge_dof(v0, v1)[0])
+        from the edge's lower-numbered vertex; KeyError for a pair that is
+        not an edge."""
+        eid = int(self.mesh.edge_table.find(v0, v1))
+        if eid < 0:
+            raise KeyError(f"({v0}, {v1}) is not a mesh edge")
+        first = len(self.mesh.vertices) + eid * (self.degree - 1)
         return [min(v0, v1), *range(first, first + self.degree - 1), max(v0, v1)]
 
 
@@ -329,12 +325,18 @@ def assemble_operator(space, p=None, q=None):
     return mat.tocsr()
 
 
-def _eval_field(fun, x, what):
-    vals = np.asarray(fun(x[..., 0], x[..., 1]), dtype=float)
+def _eval_field(fun, x, what, *args, elements=None, curves=None):
+    """fun(x, y, *args) at the points x (M, ..., 2); a non-finite value
+    raises AssemblyError naming the first such row's element, elements[row]
+    (default: row), and its curve id curves[row] if given."""
+    vals = np.asarray(fun(x[..., 0], x[..., 1], *args), dtype=float)
     vals = np.broadcast_to(vals, x.shape[:-1])
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.nonzero(~np.isfinite(vals).all(axis=-1))[0][0])
-        raise AssemblyError(f"non-finite {what} value", element=bad)
+    finite = np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        where = "" if curves is None else f" on curve {curves[row]!r}"
+        element = row if elements is None else int(elements[row])
+        raise AssemblyError(f"non-finite {what} value{where}", element=element)
     return vals
 
 

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import AssemblyError, ConfigurationError
-from .fem import assemble_load, assemble_operator, eval_basis
+from .errors import ConfigurationError
+from .fem import _eval_field, assemble_load, assemble_operator, eval_basis
 from .geometry import _per_curve
 
 DEFAULT_C_THETA = 10.0
@@ -53,19 +53,20 @@ class ProblemSpec:
 
 
 def verify_problem_consistency(problem, points, normals=None, tol=1e-10):
-    """Check boundary data against the exact solution at boundary points."""
+    """Check boundary data against the exact solution at boundary points;
+    a NaN anywhere in the data fails the check."""
     if problem.exact_u is None:
         return
     x, y = points[:, 0], points[:, 1]
     if problem.bc_kind == "dirichlet" and problem.g_D is not None:
         err = np.abs(problem.g_D(x, y) - problem.exact_u(x, y)).max()
-        if err > tol:
+        if not err <= tol:
             raise ConfigurationError(f"g_D inconsistent with exact_u (err {err:.2e})")
     if problem.bc_kind == "neumann" and problem.g_N is not None:
         ux, uy = problem.exact_grad(x, y)
         flux = problem.p(x, y) * (ux * normals[:, 0] + uy * normals[:, 1])
         err = np.abs(problem.g_N(x, y, normals[:, 0], normals[:, 1]) - flux).max()
-        if err > tol:
+        if not err <= tol:
             raise ConfigurationError(f"g_N inconsistent with exact_u (err {err:.2e})")
 
 
@@ -81,84 +82,69 @@ class LinearSystem:
 
     A: sparse.csr_matrix
     F: np.ndarray
-    theta: float = 0.0
     bubble_dofs: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
 
 
-class _BoundaryEdges:
-    """Every boundary edge at once, in `mesh.boundary_edges` order.
+def _sparse_rows(space, rows, cols, values):
+    """Sparse n_dofs-square matrix with values[r, i, j] at (rows[r, i],
+    cols[r, j]): rows (R, a), cols (R, b), values (R, a, b)."""
+    n_rows, n_cols = values.shape[1:]
+    row = np.repeat(rows, n_cols, axis=1).ravel()
+    col = np.tile(cols, (1, n_rows)).ravel()
+    return sparse.coo_matrix((values.ravel(), (row, col)), shape=(space.n_dofs, space.n_dofs))
 
-    Holds each edge's adjacent triangle, curve id and cell dofs, the local
-    basis indices of the k + 1 nodes on the edge, and their global dofs.
+
+def _replace_rows(space, problem, rows, constraint, rhs):
+    """The system of the operator and load of `problem` with the rows
+    `rows` swapped for constraint rows.
+
+    `constraint` (COO) is zero outside `rows`; `rhs` holds the new
+    right-hand side, one entry per row in `rows`.
     """
-
-    def __init__(self, space):
-        mesh = space.mesh
-        ends, tri, self.curve = mesh.boundary_table
-        valid = (tri >= 0) & (tri < len(mesh.triangles))
-        eid = mesh.edge_table.find(ends[:, 0], ends[:, 1])
-        is_local = mesh.edge_table.tri_edges[np.where(valid, tri, 0)] == eid[:, None]
-        valid &= is_local.any(axis=1)
-        if not np.all(valid):
-            v0, v1 = ends[np.argmin(valid)]
-            raise AssemblyError(f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle")
-        self.n_dofs = space.n_dofs
-        self.rule = space.rule
-        self.ends = mesh.vertices[ends]
-        self.tri = tri
-        self.cell_dofs = space.cell_dofs[tri]
-        self.local = space.edge_nodes[np.argmax(is_local, axis=1)]
-        self.dofs = np.take_along_axis(self.cell_dofs, self.local, axis=1)
-
-    def quadrature(self, geometry):
-        """Segment quadrature points x (E, n_q, 2), their closest points
-        eta on the true boundary, and the weights (E, n_q)."""
-        a, b, rule = self.ends[:, 0], self.ends[:, 1], self.rule
-        x = a[:, None, :] + rule.segment_points[None, :, None] * (b - a)[:, None, :]
-        weights = rule.segment_weights * np.linalg.norm(b - a, axis=1)[:, None]
-        return x, _per_curve(geometry.closest_point, x, self.curve), weights
-
-    def owners(self):
-        """The boundary dofs, sorted, and for each the first edge holding it."""
-        dofs, first = np.unique(self.dofs, return_index=True)
-        return dofs, first // self.dofs.shape[1]
-
-    def trace(self, values):
-        """Per-edge basis values (E, n, n_basis) restricted to the edge's
-        own nodes, i.e. the test traces (E, n, k + 1)."""
-        return np.take_along_axis(values, self.local[:, None, :], axis=2)
-
-    def matrix(self, blocks):
-        """Sparse matrix of per-edge blocks (E, k + 1, n_basis): rows are
-        the edge's dofs, columns the adjacent triangle's cell dofs."""
-        n_edge_nodes, nb = blocks.shape[1:]
-        rows = np.repeat(self.dofs, nb, axis=1).ravel()
-        cols = np.tile(self.cell_dofs, (1, n_edge_nodes)).ravel()
-        shape = (self.n_dofs, self.n_dofs)
-        return sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape)
-
-    def load(self, values):
-        """Per-edge test integrals (E, k + 1) summed into a dof vector."""
-        return np.bincount(self.dofs.ravel(), weights=values.ravel(), minlength=self.n_dofs)
-
-
-def _replace_rows(K, F, rows, constraint_coo, rhs):
-    """Swap rows `rows` of the system (K, F) for constraint rows.
-
-    `constraint_coo` is zero outside `rows`; `rhs` holds the new right-hand
-    side, one entry per row in `rows`.  Returns (A, F) with A in CSR form.
-    """
-    K = K.tocoo()
+    K = assemble_operator(space, p=problem.p, q=problem.q).tocoo()
+    F = assemble_load(space, problem.f)
     replaced = np.zeros(K.shape[0], dtype=bool)
     replaced[rows] = True
     keep = ~replaced[K.row]
-    row = np.concatenate([K.row[keep], constraint_coo.row])
-    col = np.concatenate([K.col[keep], constraint_coo.col])
-    data = np.concatenate([K.data[keep], constraint_coo.data])
+    row = np.concatenate([K.row[keep], constraint.row])
+    col = np.concatenate([K.col[keep], constraint.col])
+    data = np.concatenate([K.data[keep], constraint.data])
     A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
-    F = F.copy()
     F[rows] = rhs
-    return A, F
+    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+
+
+def _edge_quadrature(space, geometry):
+    """The space's boundary-edge quadrature points x (E, n_q, 2), their
+    closest points eta on the true boundary, the weights (E, n_q), the
+    test traces at x (E, n_q, k + 1), i.e. the adjacent element's basis
+    restricted to the edge's own nodes, and the basis gradients at x
+    (E, n_q, n_basis, 2)."""
+    x = space.boundary_points
+    eta = _per_curve(geometry.closest_point, x, space.boundary_curve)
+    vals_x, grads_x = eval_basis(space, space.boundary_tri, x)
+    test = np.take_along_axis(vals_x, space.boundary_local[:, None, :], axis=2)
+    return x, eta, space.boundary_weights, test, grads_x
+
+
+def _edge_load(space, values):
+    """Per-edge test integrals (E, k + 1) summed into a dof vector."""
+    dofs = space.boundary_edge_dofs.ravel()
+    return np.bincount(dofs, weights=values.ravel(), minlength=space.n_dofs)
+
+
+def _boundary_nodes(space, geometry):
+    """Each boundary dof, sorted, with the adjacent triangle and curve id
+    of the first boundary edge holding it, and its closest point on the
+    true boundary (the node itself if geometry is None)."""
+    edge_dofs = space.boundary_edge_dofs
+    dofs, first = np.unique(edge_dofs, return_index=True)
+    owner = first // edge_dofs.shape[1]
+    curve = space.boundary_curve[owner]
+    eta = space.dof_coords[dofs]
+    if geometry is not None:
+        eta = _per_curve(geometry.closest_point, eta, curve)
+    return dofs, space.boundary_tri[owner], curve, eta
 
 
 def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
@@ -167,21 +153,15 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
     theta = c_theta / space.mesh.h
-    edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry)
-
-    vals_x, _ = eval_basis(space, edges.tri, x)
-    vals_eta, _ = eval_basis(space, edges.tri, eta)
-    test = edges.trace(vals_x)  # zero off the edge
+    _x, eta, weights, test, _grads_x = _edge_quadrature(space, geometry)
+    tri, curve = space.boundary_tri, space.boundary_curve
+    vals_eta, _ = eval_basis(space, tri, eta)
     block = theta * np.einsum("eq,eqi,eqj->eij", weights, test, vals_eta)
-    g_vals = problem.g_D(eta[..., 0], eta[..., 1])
-    rhs = edges.load(theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-
-    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
-    F = assemble_load(space, problem.f)
+    g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
+    rhs = _edge_load(space, theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
     rows = space.boundary_dofs
-    A, F = _replace_rows(stiffness, F, rows, edges.matrix(block), rhs[rows])
-    return LinearSystem(A, F, theta, bubble_dofs=space.bubble_dofs)
+    constraint = _sparse_rows(space, space.boundary_edge_dofs, space.cell_dofs[tri], block)
+    return _replace_rows(space, problem, rows, constraint, rhs[rows])
 
 
 def assemble_pefem_dirichlet_strong(space, problem, geometry):
@@ -190,38 +170,31 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
     # Each boundary dof is constrained through one adjacent boundary edge.
-    edges = _BoundaryEdges(space)
-    dofs, owner = edges.owners()
-    tri = edges.tri[owner]
-    eta = _per_curve(geometry.closest_point, space.dof_coords[dofs], edges.curve[owner])
+    dofs, tri, curve, eta = _boundary_nodes(space, geometry)
     vals, _ = eval_basis(space, tri, eta[:, None, :])
-    nb = space.ref.n_basis
-    constraint = sparse.coo_matrix(
-        (vals.ravel(), (np.repeat(dofs, nb), space.cell_dofs[tri].ravel())),
-        shape=(space.n_dofs, space.n_dofs),
-    )
-
-    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
-    F = assemble_load(space, problem.f)
-    A, F = _replace_rows(stiffness, F, dofs, constraint, problem.g_D(eta[:, 0], eta[:, 1]))
-    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+    constraint = _sparse_rows(space, dofs[:, None], space.cell_dofs[tri], vals)
+    g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
+    return _replace_rows(space, problem, dofs, constraint, g_vals)
 
 
-def _flux_correction(space, problem, geometry, edges, x, eta, weights):
-    """Per-edge blocks (E, k + 1, n_basis) of the Neumann correction tau,
-    with the exact normals at eta and the test traces at x."""
-    vals_x, grads_x = eval_basis(space, edges.tri, x)
-    _vals_eta, grads_eta = eval_basis(space, edges.tri, eta)
-    n_true = _per_curve(geometry.unit_normal, eta, edges.curve)
+def _flux_correction(space, problem, geometry):
+    """The Neumann correction tau (COO), from per-edge blocks with the
+    exact normals at eta and the test traces at x.  Also returns eta, the
+    exact normals there, the weights and the test traces."""
+    x, eta, weights, test, grads_x = _edge_quadrature(space, geometry)
+    tri, curve = space.boundary_tri, space.boundary_curve
+    _vals_eta, grads_eta = eval_basis(space, tri, eta)
+    n_true = _per_curve(geometry.unit_normal, eta, curve)
     n_h = space.mesh.edge_normals
-    p_eta = problem.p(eta[..., 0], eta[..., 1])
-    p_x = problem.p(x[..., 0], x[..., 1])
+    where = dict(elements=tri, curves=curve)
+    p_eta = _eval_field(problem.p, eta, "diffusion coefficient", **where)
+    p_x = _eval_field(problem.p, x, "diffusion coefficient", **where)
     # Fluxes per quadrature point and trial function.
     flux_ext = p_eta[..., None] * np.einsum("eqjd,eqd->eqj", grads_eta, n_true)
     flux_std = p_x[..., None] * np.einsum("eqjd,ed->eqj", grads_x, n_h)
-    test = edges.trace(vals_x)
     block = np.einsum("eq,eqi,eqj->eij", weights, test, flux_ext - flux_std)
-    return block, n_true, test
+    tau = _sparse_rows(space, space.boundary_edge_dofs, space.cell_dofs[tri], block)
+    return tau, eta, n_true, weights, test
 
 
 def assemble_pefem_neumann(space, problem, geometry):
@@ -234,24 +207,21 @@ def assemble_pefem_neumann(space, problem, geometry):
     """
     if problem.bc_kind != "neumann":
         raise ConfigurationError("problem is not a Neumann problem")
-    edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry)
-    block, n_true, test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
-    g_vals = problem.g_N(eta[..., 0], eta[..., 1], n_true[..., 0], n_true[..., 1])
+    tau, eta, n_true, weights, test = _flux_correction(space, problem, geometry)
+    g_vals = _eval_field(
+        problem.g_N, eta, "Neumann datum", n_true[..., 0], n_true[..., 1],
+        elements=space.boundary_tri, curves=space.boundary_curve,
+    )
 
     A = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
-    F += edges.load(np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    A = (A + edges.matrix(block)).tocsr()
-    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+    F += _edge_load(space, np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
+    return LinearSystem((A + tau).tocsr(), F, bubble_dofs=space.bubble_dofs)
 
 
 def assemble_tau_neumann(space, problem, geometry):
     """The boundary flux-correction matrix alone (diagnostic)."""
-    edges = _BoundaryEdges(space)
-    x, eta, weights = edges.quadrature(geometry)
-    block, _n_true, _test = _flux_correction(space, problem, geometry, edges, x, eta, weights)
-    return edges.matrix(block).tocsr()
+    return _flux_correction(space, problem, geometry)[0].tocsr()
 
 
 def assemble_standard_dirichlet(space, problem, geometry=None):
@@ -268,16 +238,8 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
     if problem.exact_u is None:
         raise ConfigurationError("the baseline needs the exact solution")
     datum = problem.g_D if problem.g_D is not None else problem.exact_u
-    edges = _BoundaryEdges(space)
-    dofs, owner = edges.owners()
-    xi = space.dof_coords[dofs]
-    if geometry is not None:
-        xi = _per_curve(geometry.closest_point, xi, edges.curve[owner])
-    identity = sparse.coo_matrix(
-        (np.ones(len(dofs)), (dofs, dofs)), shape=(space.n_dofs, space.n_dofs)
-    )
-
-    stiffness = assemble_operator(space, p=problem.p, q=problem.q)
-    F = assemble_load(space, problem.f)
-    A, F = _replace_rows(stiffness, F, dofs, identity, datum(xi[:, 0], xi[:, 1]))
-    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+    dofs, tri, curve, xi = _boundary_nodes(space, geometry)
+    ones = np.ones((len(dofs), 1, 1))
+    identity = _sparse_rows(space, dofs[:, None], dofs[:, None], ones)
+    g_vals = _eval_field(datum, xi, "Dirichlet datum", elements=tri, curves=curve)
+    return _replace_rows(space, problem, dofs, identity, g_vals)

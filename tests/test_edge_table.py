@@ -141,6 +141,16 @@ def test_boundary_and_interior_dofs_partition(mesh, k):
 
 
 @PROPERTY
+@given(meshes, st.integers(1, 4))
+def test_boundary_dofs_are_the_tagged_edges_dofs(mesh, k):
+    space = FeSpace(mesh, k)
+    want = set()
+    for v0, v1, _tri, _cid in mesh.boundary_edges:
+        want.update(space.edge_dofs(v0, v1))
+    assert space.boundary_dofs.tolist() == sorted(want)
+
+
+@PROPERTY
 @given(meshes)
 def test_text_format_round_trip(mesh):
     back = read_mesh(write_mesh(mesh))

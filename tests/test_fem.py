@@ -7,14 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from pefem.analysis import error_norms
-from pefem.errors import SingularElementError
+from pefem.errors import AssemblyError, SingularElementError
 from pefem.fem import (
     FeSpace,
     affine_map,
     assemble_load,
     assemble_operator,
     eval_fe,
-    quadrature_for_degree,
     reference_element,
     segment_quadrature,
     triangle_quadrature,
@@ -25,6 +24,17 @@ from pefem.mesh import (
     generate_ellipse_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
+)
+
+
+THREE_DOMAINS = pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: generate_disk_mesh(16),
+        lambda: generate_square_hole_mesh(1),
+        lambda: generate_ellipse_mesh(32),
+    ],
+    ids=["disk", "hole", "ellipse"],
 )
 
 
@@ -125,6 +135,19 @@ class TestAffineMap:
 
 
 class TestFeSpace:
+    def test_refuses_boundary_edge_off_its_triangle(self):
+        mesh = generate_square_mesh(2)
+        v0, v1, tri, cid = mesh.boundary_edges[3]
+        far = int(np.argmax(np.linalg.norm(mesh.vertices - mesh.vertices[v0], axis=1)))
+        assert mesh.edge_table.find(v0, far) == -1
+        out_of_range = (v0, v1, len(mesh.triangles), cid)
+        absent = (v0, far, tri, cid)
+        for bad in (out_of_range, absent):
+            edges = list(mesh.boundary_edges)
+            edges[3] = bad
+            with pytest.raises(AssemblyError, match=f"boundary edge \\({v0},{bad[1]}\\) lacks"):
+                FeSpace(Mesh(mesh.vertices, mesh.triangles, edges), 2)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_dof_count(self, k):
         mesh = generate_square_mesh(3)
@@ -183,19 +206,11 @@ class TestFeSpace:
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize(
-    "make_mesh",
-    [
-        lambda: generate_disk_mesh(16),
-        lambda: generate_square_hole_mesh(1),
-        lambda: generate_ellipse_mesh(32),
-    ],
-    ids=["disk", "hole", "ellipse"],
-)
+@THREE_DOMAINS
 def test_volume_quadrature_arrays(make_mesh, k):
     mesh = make_mesh()
     space = FeSpace(mesh, k)
-    xi = space.rule.triangle_points
+    xi = triangle_quadrature(2 * k + 2)[0]
     for e, tri in enumerate(mesh.triangles):
         B, b, _det, _Binv = affine_map(mesh.vertices[tri])
         assert np.abs(space.quad_points[e] - (xi @ B.T + b)).max() <= 1e-15
@@ -206,6 +221,23 @@ def test_volume_quadrature_arrays(make_mesh, k):
     vals, grads = space.ref.eval(xi)
     assert np.array_equal(space.quad_values, vals)
     assert np.array_equal(space.quad_grads, grads)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@THREE_DOMAINS
+def test_boundary_quadrature_arrays(make_mesh, k):
+    mesh = make_mesh()
+    space = FeSpace(mesh, k)
+    t, w = segment_quadrature(k + 2)
+    assert len(space.boundary_tri) == len(mesh.boundary_edges)
+    for e, (v0, v1, tri, cid) in enumerate(mesh.boundary_edges):
+        assert space.boundary_tri[e] == tri and space.boundary_curve[e] == cid
+        dofs = space.boundary_edge_dofs[e].tolist()
+        assert dofs == space.cell_dofs[tri, space.boundary_local[e]].tolist()
+        assert dofs in (space.edge_dofs(v0, v1), space.edge_dofs(v0, v1)[::-1])
+        a, b = mesh.vertices[v0], mesh.vertices[v1]
+        assert np.abs(space.boundary_points[e] - (a + np.outer(t, b - a))).max() <= 1e-15
+        assert np.abs(space.boundary_weights[e] - w * np.linalg.norm(b - a)).max() <= 1e-15
 
 
 class TestEvalFe:
@@ -330,12 +362,12 @@ class TestAssembly:
 def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
     """Stiffness + mass, load and (L2, H1) errors summed point by point
     from physical gradients: the reference the contractions must equal."""
-    rule = quadrature_for_degree(space.degree)
-    ref_vals, ref_grads = space.ref.eval(rule.triangle_points)
+    points, weights = triangle_quadrature(2 * space.degree + 2)
+    ref_vals, ref_grads = space.ref.eval(points)
     B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
-    x = np.einsum("qd,med->mqe", rule.triangle_points, B) + origin[:, None, :]
+    x = np.einsum("qd,med->mqe", points, B) + origin[:, None, :]
     xx, yy = x[..., 0], x[..., 1]
-    w = rule.triangle_weights[None, :] * det[:, None]
+    w = weights[None, :] * det[:, None]
     gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
 
     local = np.einsum("mq,mq,mqbe,mqce->mbc", w, p(xx, yy), gphys, gphys)

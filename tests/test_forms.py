@@ -7,6 +7,7 @@ from pefem.analysis import error_norms, patch_test, solve
 from pefem.errors import AssemblyError, ConfigurationError
 from pefem.fem import FeSpace, eval_fe, segment_quadrature
 from pefem.forms import (
+    DEFAULT_C_THETA,
     ProblemSpec,
     assemble_pefem_dirichlet,
     assemble_pefem_dirichlet_strong,
@@ -17,7 +18,6 @@ from pefem.forms import (
 )
 from pefem.geometry import disk_geometry, square_geometry, square_hole_geometry
 from pefem.mesh import (
-    Mesh,
     generate_disk_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
@@ -83,6 +83,15 @@ class TestProblemSpec:
         with pytest.raises(ConfigurationError):
             verify_problem_consistency(problem, pts)
 
+    @pytest.mark.parametrize("bc_kind, name", [("dirichlet", "g_D"), ("neumann", "g_N")])
+    def test_consistency_check_catches_nan_data(self, bc_kind, name):
+        problem = cosine_problem(bc_kind)
+        good = getattr(problem, name)
+        setattr(problem, name, lambda x, y, *n: np.where(x == 1.0, np.nan, good(x, y, *n)))
+        pts = np.array([[1.0, 0.0], [0.0, 1.0]])  # on the unit circle: normals = pts
+        with pytest.raises(ConfigurationError, match=f"{name} inconsistent"):
+            verify_problem_consistency(problem, pts, pts)
+
 
 class TestWeakDirichlet:
     def test_rejects_neumann_problem(self):
@@ -100,8 +109,7 @@ class TestWeakDirichlet:
         space = FeSpace(mesh, k)
         problem = cosine_problem("dirichlet")
         system = assemble_pefem_dirichlet(space, problem, geo)
-        theta = system.theta
-        assert theta > 0
+        theta = DEFAULT_C_THETA / mesh.h
 
         want_A = np.zeros((space.n_dofs, space.n_dofs))
         want_F = np.zeros(space.n_dofs)
@@ -235,24 +243,28 @@ class TestNeumann:
 
 class TestBoundaryErrors:
     @pytest.mark.parametrize(
-        "assemble",
+        "assemble, bc_kind, name",
         [
-            lambda s, g: assemble_pefem_dirichlet(s, cosine_problem("dirichlet"), g),
-            lambda s, g: assemble_pefem_dirichlet_strong(s, cosine_problem("dirichlet"), g),
-            lambda s, g: assemble_pefem_neumann(s, cosine_problem("neumann"), g),
-            lambda s, g: assemble_tau_neumann(s, cosine_problem("neumann"), g),
-            lambda s, g: assemble_standard_dirichlet(s, cosine_problem("dirichlet"), g),
+            (assemble_pefem_dirichlet, "dirichlet", "g_D"),
+            (assemble_pefem_dirichlet_strong, "dirichlet", "g_D"),
+            (assemble_standard_dirichlet, "dirichlet", "g_D"),
+            (assemble_pefem_neumann, "neumann", "g_N"),
+            (assemble_pefem_neumann, "neumann", "p"),
         ],
-        ids=["weak", "strong", "neumann", "tau", "standard"],
+        ids=["weak", "strong", "standard", "neumann-g_N", "neumann-p"],
     )
-    def test_out_of_range_adjacent_triangle(self, assemble):
-        mesh = generate_square_mesh(2)
-        edges = list(mesh.boundary_edges)
-        v0, v1, _tri, cid = edges[3]
-        edges[3] = (v0, v1, len(mesh.triangles), cid)
-        space = FeSpace(Mesh(mesh.vertices, mesh.triangles, edges), 2)
-        with pytest.raises(AssemblyError, match="lacks a valid adjacent triangle"):
-            assemble(space, square_geometry())
+    def test_non_finite_boundary_data_names_element_and_curve(self, assemble, bc_kind, name):
+        # NaN for x > 0.99: only the closest points beyond the boundary edge
+        # whose ends are (0.981, -+0.195) reach it, not the volume points.
+        mesh = generate_disk_mesh(16)
+        space = FeSpace(mesh, 2)
+        assert space.quad_points[..., 0].max() < 0.99
+        problem = cosine_problem(bc_kind)
+        good = getattr(problem, name)
+        setattr(problem, name, lambda x, y, *n: np.where(x > 0.99, np.nan, good(x, y, *n)))
+        (tri,) = [e[2] for e in mesh.boundary_edges if mesh.vertices[list(e[:2]), 0].min() > 0.98]
+        with pytest.raises(AssemblyError, match=f"element {tri}: non-finite .* on curve 'circle'"):
+            assemble(space, problem, disk_geometry())
 
 
 class TestStandardBaseline:
