@@ -18,6 +18,7 @@ from pefem.forms import (
 )
 from pefem.geometry import disk_geometry, square_geometry, square_hole_geometry
 from pefem.mesh import (
+    Mesh,
     generate_disk_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
@@ -242,6 +243,27 @@ class TestNeumann:
 
 
 class TestBoundaryErrors:
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            lambda s, g: assemble_pefem_dirichlet(s, cosine_problem("dirichlet"), g),
+            lambda s, g: assemble_pefem_dirichlet_strong(s, cosine_problem("dirichlet"), g),
+            lambda s, g: assemble_pefem_neumann(s, cosine_problem("neumann"), g),
+            lambda s, g: assemble_tau_neumann(s, cosine_problem("neumann"), g),
+            lambda s, g: assemble_standard_dirichlet(s, cosine_problem("dirichlet"), g),
+        ],
+        ids=["weak", "strong", "neumann", "tau", "standard"],
+    )
+    def test_out_of_range_adjacent_triangle(self, assemble):
+        # The boundary-edge table is built with the space, so the bad edge is
+        # refused before any assembler sees it.
+        mesh = generate_square_mesh(2)
+        edges = list(mesh.boundary_edges)
+        v0, v1, _tri, cid = edges[3]
+        edges[3] = (v0, v1, len(mesh.triangles), cid)
+        with pytest.raises(AssemblyError, match="lacks a valid adjacent triangle"):
+            assemble(FeSpace(Mesh(mesh.vertices, mesh.triangles, edges), 2), square_geometry())
+
     @pytest.mark.parametrize(
         "assemble, bc_kind, name",
         [
