@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, ConfigurationError, SingularSystemError, SolverError
+from .fem import _chunked_matmul
 
 log = logging.getLogger(__name__)
 
@@ -225,16 +226,21 @@ def error_norms(space, u_h, exact_u, exact_grad):
     """Broken L2 and H1 errors against a globally defined exact solution.
 
     Both are element-wise quadratures over the polygonal domain, at the
-    space's `quad_points`; the H1 norm includes the L2 part.  AssemblyError
-    names the first element where the exact value or gradient is not finite.
+    space's `quad_points`; the H1 norm includes the L2 part.  The values
+    and reference gradients of u_h at those points are two GEMMs of the
+    element coefficients (n_elements, n_b) with the basis tables, in blocks
+    of `fem._GEMM_ROWS` elements (see there for why); the gradients are
+    then mapped by each element's Binv.  AssemblyError names the first
+    element where the exact value or gradient is not finite.
     """
     if exact_u is None or exact_grad is None:
         raise ConfigurationError("error norms need the exact solution and gradient")
     x, w = space.quad_points, space.quad_weights
     local = np.asarray(u_h)[space.cell_dofs]  # (m, nb)
-    uh_vals = np.einsum("mb,qb->mq", local, space.quad_values)
-    uh_ref_grads = np.einsum("mb,qbd->mqd", local, space.quad_grads)
-    uh_grads = np.einsum("mqd,mde->mqe", uh_ref_grads, space.Binv)
+    nq, nb = space.quad_values.shape
+    uh_vals = _chunked_matmul(local, space.quad_values.T)
+    ref_grads = np.swapaxes(space.quad_grads, 0, 1).reshape(nb, 2 * nq)
+    uh_grads = _chunked_matmul(local, ref_grads).reshape(-1, nq, 2) @ space.Binv
 
     u_vals = exact_u(x[..., 0], x[..., 1])
     gx, gy = exact_grad(x[..., 0], x[..., 1])

@@ -21,6 +21,7 @@ from .errors import ConfigurationError, PefemError
 from .fem import FeSpace
 from .forms import (
     DEFAULT_C_THETA,
+    _check_c_theta,
     assemble_pefem_dirichlet,
     assemble_pefem_dirichlet_strong,
     assemble_pefem_neumann,
@@ -52,6 +53,18 @@ METHODS = (
 DOMAINS = ("disk", "square_hole", "ellipse")
 PROBLEMS = ("convex-cos", "nonconvex-rational", "patch-k")
 
+
+def _integer(key, value):
+    """An int, or a string of one, as an int; ConfigurationError naming
+    the key for anything else, so that 2.7 is not truncated to 2."""
+    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+
+
 class ExperimentConfig:
     """Validated settings for one convergence study."""
 
@@ -70,24 +83,32 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown domain {domain!r}")
         if method not in METHODS:
             raise ConfigurationError(f"unknown method {method!r}")
-        k = int(k)
+        k = _integer("k", k)
         if not 1 <= k <= 4:
             raise ConfigurationError(f"degree k must be in 1..4, got {k}")
-        levels = int(levels)
+        levels = _integer("levels", levels)
         if levels < 2:
             raise ConfigurationError(f"need at least 2 levels, got {levels}")
         if problem is None:
             problem = "nonconvex-rational" if domain == "square_hole" else "convex-cos"
         if problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem preset {problem!r}")
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
+        try:
+            c_theta = float(c_theta)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"c_theta must be a number, got {c_theta!r}") from None
+        _check_c_theta(c_theta)
         self.domain = domain
         self.method = method
         self.k = k
         self.levels = levels
-        self.c_theta = float(c_theta)
+        self.c_theta = c_theta
         self.problem = problem
         self.out = out
-        self.seed = int(seed)
+        self.seed = seed
 
     @property
     def bc_kind(self):

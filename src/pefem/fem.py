@@ -295,27 +295,53 @@ def eval_fe(space, coefficients, element, points):
     return (values[0], gradients[0]) if scalar else (values, gradients)
 
 
+# Element rows per block of `_chunked_matmul`.  The memory OpenBLAS packs
+# GEMM panels into (Goto & van de Geijn, ACM TOMS 2008) stays resident
+# after the call, and grows with the product: one (6,162 x 196) @
+# (196 x 225) product, the k = 4 stiffness at disk n = 128, left 9.5 MB
+# resident, and blocks of 512 rows about 1 MB (OpenBLAS 0.3.31, one
+# thread, x86-64).
+_GEMM_ROWS = 512
+
+
+def _chunked_matmul(a, b):
+    """a @ b for a (M, K) and b (K, N), one BLAS product per block of
+    `_GEMM_ROWS` rows of a, written into one (M, N) output."""
+    out = np.empty((len(a), b.shape[1]))
+    for s in range(0, len(a), _GEMM_ROWS):
+        np.matmul(a[s : s + _GEMM_ROWS], b, out=out[s : s + _GEMM_ROWS])
+    return out
+
+
 def assemble_operator(space, p=None, q=None):
     """Stiffness form of p (default 1), plus the mass form of q if given.
 
     p and q are vectorized callables (x, y) -> values, evaluated at the
-    space's `quad_points`.  Elements are affine, so the stiffness contracts
-    w p (Binv Binv^T) per element against the products of the reference
-    gradients d_d phi_b d_e phi_c at the quadrature points, and the mass
-    contracts w q against the products phi_b phi_c.
+    space's `quad_points`.  Elements are affine, so every element matrix
+    is one row of a single GEMM, `_chunked_matmul(factor, table)`.  Row m
+    of `factor` holds the entries of w p (Binv Binv^T) at the quadrature
+    points of element m (4 n_q columns) and, with q, w q (n_q more
+    columns); the rows of `table` are the matching products of reference
+    gradients d_d phi_b d_e phi_c and, with q, of values phi_b phi_c
+    (n_b^2 columns).  The product runs over blocks of `_GEMM_ROWS`
+    elements, so the packing buffer BLAS keeps after it stays small (see
+    `_GEMM_ROWS`).
     """
     x, w = space.quad_points, space.quad_weights
     vals, grads = space.quad_values, space.quad_grads
     nq, nb = vals.shape
-    grad_grad = np.einsum("qbd,qce->qdebc", grads, grads).reshape(nq * 4, nb * nb)
     w_p = w if p is None else w * _eval_field(p, x, "diffusion coefficient")
-    metric = np.einsum("mde,mfe->mdf", space.Binv, space.Binv)
-    factor = np.einsum("mq,mdf->mqdf", w_p, metric).reshape(len(w), -1)
-    local = np.einsum("mk,kn->mn", factor, grad_grad)
+    metric = space.Binv @ np.swapaxes(space.Binv, -1, -2)
+    # Entry (d, e) of the metric, then the point: the broadcast's inner
+    # axis is the n_q points rather than a 2 x 2 block.
+    factor = np.empty((len(w), 4 if q is None else 5, nq))
+    np.multiply(metric.reshape(-1, 4, 1), w_p[:, None, :], out=factor[:, :4])
+    table = np.einsum("qbd,qce->deqbc", grads, grads).reshape(4 * nq, nb * nb)
     if q is not None:
-        w_q = w * _eval_field(q, x, "reaction coefficient")
+        factor[:, 4] = w * _eval_field(q, x, "reaction coefficient")
         val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
-        local += np.einsum("mq,qn->mn", w_q, val_val)
+        table = np.vstack([table, val_val])
+    local = _chunked_matmul(factor.reshape(len(w), -1), table)
 
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
@@ -341,7 +367,9 @@ def _eval_field(fun, x, what, *args, elements=None, curves=None):
 
 
 def assemble_load(space, f):
-    """Load vector with entries given by the volume quadrature of f."""
+    """Load vector with entries given by the volume quadrature of f: the
+    element vectors are the GEMM of w f (n_elements, n_q) with the basis
+    values (n_q, n_b), in blocks of `_GEMM_ROWS` elements."""
     w_f = space.quad_weights * _eval_field(f, space.quad_points, "source")
-    local = np.einsum("mq,qb->mb", w_f, space.quad_values)
+    local = _chunked_matmul(w_f, space.quad_values)
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)

@@ -147,11 +147,19 @@ def _boundary_nodes(space, geometry):
     return dofs, space.boundary_tri[owner], curve, eta
 
 
+def _check_c_theta(c_theta):
+    """ConfigurationError unless c_theta is finite and > 0: the constraint
+    scaling theta = c_theta / h must be positive."""
+    if not (np.isfinite(c_theta) and c_theta > 0):
+        raise ConfigurationError(f"c_theta must be finite and > 0, got {c_theta!r}")
+
+
 def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     """Weak-constraint system: boundary rows tie the extended polynomial
     on the true boundary to the Dirichlet data, scaled by c_theta / h."""
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
+    _check_c_theta(c_theta)
     theta = c_theta / space.mesh.h
     _x, eta, weights, test, _grads_x = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve

@@ -61,6 +61,24 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(domain="annulus")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", 2.7), ("levels", 3.9), ("seed", 1.5), ("k", "two"), ("levels", "x"),
+         ("seed", "2.5"), ("k", True), ("seed", -1)],
+    )
+    def test_refuses_integer_settings_that_are_not_integers(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_integer_settings_accept_strings_of_integers(self):
+        config = ExperimentConfig(k="3", levels=" 2 ", seed=np.int64(5))
+        assert (config.k, config.levels, config.seed) == (3, 2, 5)
+
+    @pytest.mark.parametrize("c_theta", [0.0, -1.0, float("nan"), float("inf"), "abc", None])
+    def test_refuses_bad_c_theta(self, c_theta):
+        with pytest.raises(ConfigurationError, match="c_theta"):
+            ExperimentConfig(c_theta=c_theta)
+
     def test_default_problem_follows_domain(self):
         assert ExperimentConfig(domain="disk").problem == "convex-cos"
         assert ExperimentConfig(domain="square_hole").problem == "nonconvex-rational"
@@ -236,6 +254,20 @@ class TestMainEntry:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method=collocation\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["k=two", "levels=x", "seed=1.5", "c_theta=abc", "c_theta=0"])
+    def test_bad_config_value_exits_2_naming_the_key(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split("=")[0] in err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    def test_bad_c_theta_flag_exits_2(self, value, capsys):
+        assert main(["run", "--levels", "2", f"--c-theta={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: c_theta must be finite and > 0")
 
     def test_run_exit_zero_on_passing_gates(self):
         code = main(

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from pefem.analysis import error_norms
 from pefem.errors import AssemblyError, SingularElementError
 from pefem.fem import (
+    _GEMM_ROWS,
     FeSpace,
     affine_map,
     assemble_load,
@@ -360,8 +361,9 @@ class TestAssembly:
 
 
 def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
-    """Stiffness + mass, load and (L2, H1) errors summed point by point
-    from physical gradients: the reference the contractions must equal."""
+    """Stiffness (+ mass if q is given), load and (L2, H1) errors summed
+    point by point from physical gradients: the reference the
+    contractions must equal."""
     points, weights = triangle_quadrature(2 * space.degree + 2)
     ref_vals, ref_grads = space.ref.eval(points)
     B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
@@ -371,7 +373,8 @@ def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
     gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
 
     local = np.einsum("mq,mq,mqbe,mqce->mbc", w, p(xx, yy), gphys, gphys)
-    local += np.einsum("mq,mq,qb,qc->mbc", w, q(xx, yy), ref_vals, ref_vals)
+    if q is not None:
+        local += np.einsum("mq,mq,qb,qc->mbc", w, q(xx, yy), ref_vals, ref_vals)
     nb = space.ref.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
@@ -388,14 +391,25 @@ def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
     return A, F, np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+VOLUME_MESHES = {
+    "disk": lambda: generate_disk_mesh(16),
+    "hole": lambda: generate_square_hole_mesh(1),
+    # 1,528 triangles: more than one block of _GEMM_ROWS, and not a
+    # whole number of blocks.
+    "disk64": lambda: generate_disk_mesh(64),
+}
+VOLUME_CASES = [(name, k) for name in ("disk", "hole") for k in (1, 2, 3, 4)]
+VOLUME_CASES += [("disk64", 2), ("disk64", 4)]
+
+
 @pytest.mark.parametrize(
-    "make_mesh",
-    [lambda: generate_disk_mesh(16), lambda: generate_square_hole_mesh(1)],
-    ids=["disk", "hole"],
+    "mesh_name, k", VOLUME_CASES, ids=[f"{name}-{k}" for name, k in VOLUME_CASES]
 )
-def test_volume_contractions_match_per_point_sums(make_mesh, k):
-    space = FeSpace(make_mesh(), k)
+def test_volume_contractions_match_per_point_sums(mesh_name, k):
+    space = FeSpace(VOLUME_MESHES[mesh_name](), k)
+    if mesh_name == "disk64":
+        n_elements = len(space.mesh.triangles)
+        assert n_elements > _GEMM_ROWS and n_elements % _GEMM_ROWS
     p = lambda x, y: 1.0 + x**2 + 0.5 * np.sin(y)
     q = lambda x, y: 2.0 + x * y
     f = lambda x, y: np.exp(x) * np.cos(2.0 * y)
@@ -405,9 +419,15 @@ def test_volume_contractions_match_per_point_sums(make_mesh, k):
     A_ref, F_ref, l2_ref, h1_ref = _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad)
 
     A = assemble_operator(space, p=p, q=q)
-    assert np.abs((A - A_ref).toarray()).max() <= 1e-13 * np.abs(A_ref.data).max()
+    assert abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref.data).max()
     F = assemble_load(space, f)
     assert np.abs(F - F_ref).max() <= 1e-13 * np.abs(F_ref).max()
     l2, h1 = error_norms(space, u_h, exact_u, exact_grad)
     assert l2 == pytest.approx(l2_ref, rel=1e-13)
     assert h1 == pytest.approx(h1_ref, rel=1e-13)
+
+    # The stiffness-only branch (p = 1, no q), which no Neumann problem takes.
+    one = lambda x, y: np.ones_like(x)
+    K_ref = _per_point_volume(space, one, None, f, u_h, exact_u, exact_grad)[0]
+    K = assemble_operator(space)
+    assert abs(K - K_ref).max() <= 1e-13 * np.abs(K_ref.data).max()

@@ -130,6 +130,13 @@ class TestWeakDirichlet:
         assert np.abs(got - want_A[rows]).max() <= 1e-12 * np.abs(want_A).max()
         assert np.abs(system.F[rows] - want_F[rows]).max() <= 1e-12 * np.abs(want_F).max()
 
+    @pytest.mark.parametrize("c_theta", [0.0, -10.0, float("nan"), float("inf")])
+    def test_refuses_bad_c_theta(self, c_theta):
+        space = FeSpace(generate_disk_mesh(16), 2)
+        problem = cosine_problem("dirichlet")
+        with pytest.raises(ConfigurationError, match="c_theta"):
+            assemble_pefem_dirichlet(space, problem, disk_geometry(), c_theta=c_theta)
+
     def test_theta_invariance(self):
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, 3)
