@@ -331,6 +331,8 @@ def cmd_patch(args):
 
 
 def cmd_mesh(args):
+    if args.level < 0:
+        raise ConfigurationError(f"level must be >= 0, got {args.level}")
     mesh_for_level, geometry = _domain_tools(args.domain)
     mesh = mesh_for_level(args.level)
     result = validate(mesh, geometry)

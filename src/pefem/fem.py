@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from .errors import AssemblyError, SingularElementError
+from .mesh import _row_norms
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +164,11 @@ class FeSpace:
       edge's adjacent triangle `boundary_tri` (E,) and curve id
       `boundary_curve` (E,), the local basis indices `boundary_local`
       (E, k + 1) of its k + 1 nodes in that triangle and their global dofs
-      `boundary_edge_dofs` (E, k + 1), and the points `boundary_points`
+      `boundary_edge_dofs` (E, k + 1), the points `boundary_points`
       (E, n_s, 2) and weights `boundary_weights` (E, n_s) of the
-      (k + 2)-point Gauss rule on it.  A tagged edge that is not an edge
-      of its adjacent triangle raises AssemblyError.
+      (k + 2)-point Gauss rule on it, and its outward unit facet normal
+      `boundary_normals` (E, 2).  A tagged edge that is not an edge of its
+      adjacent triangle raises AssemblyError.
 
     Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
     from the lower- to the higher-numbered vertex), then the element-interior
@@ -236,12 +238,19 @@ class FeSpace:
             v0, v1 = ends[np.argmin(valid)]
             raise AssemblyError(f"boundary edge ({v0},{v1}) lacks a valid adjacent triangle")
         self.boundary_tri = tri
-        self.boundary_local = self.edge_nodes[np.argmax(is_local, axis=1)]
+        local_edge = np.argmax(is_local, axis=1)
+        self.boundary_local = self.edge_nodes[local_edge]
         self.boundary_edge_dofs = np.take_along_axis(cell_dofs[tri], self.boundary_local, axis=1)
         a, b = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
         segment_points, segment_weights = segment_quadrature(k + 2)
         self.boundary_points = a[:, None, :] + segment_points[None, :, None] * (b - a)[:, None, :]
         self.boundary_weights = segment_weights * np.linalg.norm(b - a, axis=1)[:, None]
+        # The triangle is counter-clockwise (affine_map refuses the others),
+        # so local edge l runs from corner l to corner l + 1 with the
+        # triangle on its left.
+        start, end = tris[tri, local_edge], tris[tri, (local_edge + 1) % 3]
+        e = mesh.vertices[end] - mesh.vertices[start]
+        self.boundary_normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / _row_norms(e)[:, None]
 
         self.boundary_dofs = np.unique(self.boundary_edge_dofs)
         self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)

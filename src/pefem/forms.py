@@ -22,6 +22,10 @@ from .geometry import _per_curve
 DEFAULT_C_THETA = 10.0
 
 
+def _one(x, y):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
 @dataclass
 class ProblemSpec:
     """Coefficients, data, and (optionally) the exact solution of a problem.
@@ -30,12 +34,13 @@ class ProblemSpec:
     must be evaluable on the polygonal domain as well, including the thin
     region outside the true domain (globally defined formulas do this for
     free).  g_N additionally receives the outward unit normal components.
-    The reaction coefficient q applies to every bc_kind; None means no
-    reaction term, which Neumann problems refuse.
+    The diffusion coefficient p defaults to one.  The reaction coefficient
+    q applies to every bc_kind; None means no reaction term, which Neumann
+    problems refuse.
     """
 
     bc_kind: str  # "dirichlet" | "neumann"
-    p: Callable = None
+    p: Callable = _one
     q: Callable = None
     f: Callable = None
     g_D: Callable = None
@@ -46,8 +51,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.bc_kind not in ("dirichlet", "neumann"):
             raise ConfigurationError(f"unknown bc_kind {self.bc_kind!r}")
-        if self.p is None:
-            self.p = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
         if self.bc_kind == "neumann" and self.q is None:
             raise ConfigurationError("Neumann problems need a reaction coefficient q")
 
@@ -193,7 +196,7 @@ def _flux_correction(space, problem, geometry):
     tri, curve = space.boundary_tri, space.boundary_curve
     _vals_eta, grads_eta = eval_basis(space, tri, eta)
     n_true = _per_curve(geometry.unit_normal, eta, curve)
-    n_h = space.mesh.edge_normals
+    n_h = space.boundary_normals
     where = dict(elements=tri, curves=curve)
     p_eta = _eval_field(problem.p, eta, "diffusion coefficient", **where)
     p_x = _eval_field(problem.p, x, "diffusion coefficient", **where)

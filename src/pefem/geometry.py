@@ -257,17 +257,20 @@ def _per_curve(fn, points, curve):
     return np.empty_like(points) if out is None else out
 
 
-def disk_geometry(radius=1.0, center=(0.0, 0.0)):
-    """Unit-disk style domain: one circular component, id ``circle``."""
-    return BoundaryGeometry({"circle": circle_component(center, radius)})
+def disk_geometry():
+    """The unit disk at the origin, the domain of `generate_disk_mesh`: one
+    circular component, id ``circle``."""
+    return BoundaryGeometry({"circle": circle_component((0.0, 0.0), 1.0)})
 
 
-def square_hole_geometry(half_width=0.5, hole_radius=0.25, center=(0.0, 0.0)):
-    """Square with a circular hole: straight outer square, inner circle."""
+def square_hole_geometry():
+    """The domain of `generate_square_hole_mesh`: the square of half width
+    1/2 at the origin (component ``square``) minus the concentric disk of
+    radius 1/4 (component ``hole``)."""
     return BoundaryGeometry(
         {
-            "square": square_component(center, half_width),
-            "hole": circle_component(center, hole_radius, domain_side="outside"),
+            "square": square_component((0.0, 0.0), 0.5),
+            "hole": circle_component((0.0, 0.0), 0.25, domain_side="outside"),
         }
     )
 

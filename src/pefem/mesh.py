@@ -7,7 +7,8 @@ provided so externally generated meshes can be used as well.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -29,45 +30,24 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: list
-    _h: float = field(default=None, repr=False, compare=False)
-    _edge_normals: np.ndarray = field(default=None, repr=False, compare=False)
-    _edge_table: "EdgeTable" = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def h(self):
         """Largest triangle diameter (= longest edge)."""
-        if self._h is None:
-            ends = self.vertices[self.edge_table.edges]
-            self._h = float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
-        return self._h
+        ends = self.vertices[self.edge_table.edges]
+        return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
 
-    @property
+    @cached_property
     def edge_table(self):
-        """The EdgeTable of the triangulation (built once)."""
-        if self._edge_table is None:
-            self._edge_table = EdgeTable(self.triangles)
-        return self._edge_table
+        """The EdgeTable of the triangulation."""
+        return EdgeTable(self.triangles)
 
-    @property
+    @cached_property
     def boundary_table(self):
         """boundary_edges as arrays: end vertices (E, 2), adjacent
         triangles (E,) and curve ids (E,)."""
         table = np.array(self.boundary_edges, dtype=object).reshape(-1, 4)
         return table[:, :2].astype(np.int64), table[:, 2].astype(np.int64), table[:, 3]
-
-    @property
-    def edge_normals(self):
-        """Outward unit normal per boundary edge (piecewise constant)."""
-        if self._edge_normals is None:
-            ends, tri, _curve = self.boundary_table
-            a, b = self.vertices[ends[:, 0]], self.vertices[ends[:, 1]]
-            e = b - a
-            n = np.stack([e[:, 1], -e[:, 0]], axis=1) / _row_norms(e)[:, None]
-            centroid = self.vertices[self.triangles[tri]].mean(axis=1)
-            inward = np.einsum("ij,ij->i", n, 0.5 * (a + b) - centroid) < 0
-            n[inward] = -n[inward]
-            self._edge_normals = n
-        return self._edge_normals
 
     def min_angle_deg(self):
         """Smallest interior angle over all triangles, in degrees."""
@@ -139,8 +119,9 @@ def _tagged_mesh(vertices, triangles, classify):
     cid = np.asarray(classify(0.5 * (vertices[u] + vertices[v])))
     order = np.lexsort((v, u, cid))
     columns = (u[order], v[order], table.first_tri[single][order], cid[order])
-    boundary = list(zip(*(c.tolist() for c in columns)))
-    return Mesh(vertices, triangles, boundary, _edge_table=table)
+    mesh = Mesh(vertices, triangles, list(zip(*(c.tolist() for c in columns))))
+    mesh.edge_table = table
+    return mesh
 
 
 def _doubled_areas(vertices, triangles):

@@ -7,7 +7,7 @@ from the exact solution, so errors measure only the discretization.
 import numpy as np
 
 from .errors import ConfigurationError
-from .forms import ProblemSpec
+from .forms import ProblemSpec, _one
 
 
 class Poly2D:
@@ -47,34 +47,33 @@ class Poly2D:
 def random_polynomial(degree, rng):
     """Random coefficients in [-1, 1] for total degree <= `degree`."""
     coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
-    for i in range(degree + 1):
-        for j in range(degree + 1):
-            if i + j > degree:
-                coeffs[i, j] = 0.0
+    powers = np.arange(degree + 1)
+    coeffs[np.add.outer(powers, powers) > degree] = 0.0
     return Poly2D(coeffs)
 
 
-def _one(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def cosine_problem(bc_kind):
-    """Smooth manufactured solution cos(x)cos(y) with unit coefficients."""
-    u = lambda x, y: np.cos(x) * np.cos(y)
-    grad = lambda x, y: (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y))
+def _problem(bc_kind, u, grad, f_dirichlet, f_neumann):
+    """ProblemSpec with exact solution u, gradient grad and p = 1: for
+    Dirichlet, the source f_dirichlet and g_D = u; for Neumann, q = 1, the
+    source f_neumann and g_N = grad u . n."""
     if bc_kind == "dirichlet":
-        f = lambda x, y: 2.0 * np.cos(x) * np.cos(y)
-        return ProblemSpec(
-            bc_kind="dirichlet", p=_one, f=f, g_D=u, exact_u=u, exact_grad=grad
-        )
-    f = lambda x, y: 3.0 * np.cos(x) * np.cos(y)
+        return ProblemSpec(bc_kind=bc_kind, f=f_dirichlet, g_D=u, exact_u=u, exact_grad=grad)
 
     def g_N(x, y, nx, ny):
         gx, gy = grad(x, y)
         return gx * nx + gy * ny
 
-    return ProblemSpec(
-        bc_kind="neumann", p=_one, q=_one, f=f, g_N=g_N, exact_u=u, exact_grad=grad
+    return ProblemSpec(bc_kind=bc_kind, q=_one, f=f_neumann, g_N=g_N, exact_u=u, exact_grad=grad)
+
+
+def cosine_problem(bc_kind):
+    """Smooth manufactured solution cos(x)cos(y) with unit coefficients."""
+    return _problem(
+        bc_kind,
+        lambda x, y: np.cos(x) * np.cos(y),
+        lambda x, y: (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)),
+        f_dirichlet=lambda x, y: 2.0 * np.cos(x) * np.cos(y),
+        f_neumann=lambda x, y: 3.0 * np.cos(x) * np.cos(y),
     )
 
 
@@ -89,40 +88,21 @@ def rational_problem(bc_kind):
         r2 = x**2 + y**2
         return c * (y**2 - x**2) / r2**2, -2.0 * c * x * y / r2**2
 
-    if bc_kind == "dirichlet":
-        f = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-        return ProblemSpec(
-            bc_kind="dirichlet", p=_one, f=f, g_D=u, exact_u=u, exact_grad=grad
-        )
-    # With q = 1 and the solution harmonic, the source is the solution.
-    f = u
-
-    def g_N(x, y, nx, ny):
-        gx, gy = grad(x, y)
-        return gx * nx + gy * ny
-
-    return ProblemSpec(
-        bc_kind="neumann", p=_one, q=_one, f=f, g_N=g_N, exact_u=u, exact_grad=grad
-    )
+    # With q = 1 and the solution harmonic, the Neumann source is the solution.
+    f_zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    return _problem(bc_kind, u, grad, f_dirichlet=f_zero, f_neumann=u)
 
 
 def polynomial_problem(poly, bc_kind):
     """ProblemSpec for a polynomial exact solution with p = q = 1."""
     px, py = poly.dx(), poly.dy()
     lap = poly.laplacian()
-    grad = lambda x, y: (px(x, y), py(x, y))
-    if bc_kind == "dirichlet":
-        f = lambda x, y: -lap(x, y)
-        return ProblemSpec(
-            bc_kind="dirichlet", p=_one, f=f, g_D=poly, exact_u=poly, exact_grad=grad
-        )
-    f = lambda x, y: -lap(x, y) + poly(x, y)
-
-    def g_N(x, y, nx, ny):
-        return px(x, y) * nx + py(x, y) * ny
-
-    return ProblemSpec(
-        bc_kind="neumann", p=_one, q=_one, f=f, g_N=g_N, exact_u=poly, exact_grad=grad
+    return _problem(
+        bc_kind,
+        poly,
+        lambda x, y: (px(x, y), py(x, y)),
+        f_dirichlet=lambda x, y: -lap(x, y),
+        f_neumann=lambda x, y: -lap(x, y) + poly(x, y),
     )
 
 

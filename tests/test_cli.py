@@ -236,6 +236,13 @@ class TestMainEntry:
         mesh = read_mesh(out.read_text())
         assert len(mesh.triangles) == 64
 
+    @pytest.mark.parametrize("domain, level", [("disk", -1), ("disk", -3), ("square_hole", -1)])
+    def test_mesh_refuses_negative_level(self, domain, level, tmp_path, capsys):
+        out = tmp_path / "mesh.txt"
+        assert main(["mesh", "--domain", domain, "--level", str(level), "--out", str(out)]) == 2
+        assert f"error: level must be >= 0, got {level}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ellipse_subcommands(self, tmp_path, capsys):
         out = tmp_path / "ellipse.txt"
         assert main(["mesh", "--domain", "ellipse", "--level", "0", "--out", str(out)]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pefem.analysis import error_norms, patch_test, solve
 from pefem.errors import AssemblyError, ConfigurationError
@@ -29,6 +31,7 @@ from pefem.problems import (
     polynomial_problem,
     rational_problem,
 )
+from test_edge_table import PROPERTY
 
 
 DOMAINS = {
@@ -227,7 +230,7 @@ class TestNeumann:
         flux_ext = problem.p(eta[:, 0], eta[:, 1])[:, None] * np.einsum(
             "qjd,qd->qj", grads_eta, geo.unit_normal(eta, cid)
         )
-        flux_std = problem.p(x[:, 0], x[:, 1])[:, None] * (grads_x @ mesh.edge_normals[0])
+        flux_std = problem.p(x[:, 0], x[:, 1])[:, None] * (grads_x @ space.boundary_normals[0])
         cell = list(space.cell_dofs[tri])
         edge_interior = space.edge_dofs(v0, v1)[1:-1]
         assert edge_interior
@@ -247,6 +250,30 @@ class TestNeumann:
         tau = assemble_tau_neumann(space, problem, geo)
         diff = np.abs((system.A - N - tau).toarray()).max()
         assert diff <= 1e-12 * np.abs(N.toarray()).max()
+
+
+@st.composite
+def perturbed_square_meshes(draw):
+    """Square meshes of n x n cells with every interior vertex moved by up
+    to 0.2 cell widths in each coordinate: at most 0.29 widths, less than
+    half the smallest altitude (0.71 widths), so no triangle flips."""
+    n = draw(st.integers(1, 4))
+    mesh = generate_square_mesh(n)
+    interior = np.all(np.abs(mesh.vertices) < 0.5, axis=1)
+    size = 2 * int(interior.sum())
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    vertices = mesh.vertices.copy()
+    vertices[interior] += 0.2 / n * np.reshape(offsets, (-1, 2))
+    return Mesh(vertices, mesh.triangles, mesh.boundary_edges)
+
+
+@PROPERTY
+@given(perturbed_square_meshes(), st.integers(1, 4))
+def test_correction_vanishes_on_straight_boundary_of_any_mesh(mesh, k):
+    # The square projects x onto itself and both normals are exact unit
+    # axis vectors, so the two fluxes agree bit for bit.
+    tau = assemble_tau_neumann(FeSpace(mesh, k), cosine_problem("neumann"), square_geometry())
+    assert tau.nnz == 0 or np.abs(tau.data).max() <= 1e-15
 
 
 class TestBoundaryErrors:

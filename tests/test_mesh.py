@@ -1,5 +1,6 @@
 """Tests for mesh generation, validation, and the text format."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from pefem.errors import MeshFormatError
+from pefem.fem import FeSpace
 from pefem.geometry import (
     BoundaryComponent,
     BoundaryGeometry,
@@ -200,11 +202,26 @@ class TestValidate:
         ]
 
     def test_outward_normals(self):
-        mesh = generate_disk_mesh(16)
-        for i, (v0, v1, _tri, _cid) in enumerate(mesh.boundary_edges):
-            mid = 0.5 * (mesh.vertices[v0] + mesh.vertices[v1])
-            # For the disk the outward direction is radial.
-            assert np.dot(mesh.edge_normals[i], mid) > 0
+        # The space's facet normals, against the outward direction of each
+        # boundary at the edge midpoints: radially out of the disk, toward
+        # the centre on the hole, along an axis on the outer square.
+        for mesh in (generate_disk_mesh(16), generate_square_hole_mesh(1)):
+            normals = FeSpace(mesh, 1).boundary_normals
+            ends, _tri, curve = mesh.boundary_table
+            mid = mesh.vertices[ends].mean(axis=1)
+            radial = mid / np.linalg.norm(mid, axis=1)[:, None]
+            rows = np.arange(len(mid))
+            axis = np.argmax(np.abs(mid), axis=1)
+            axial = np.zeros_like(mid)
+            axial[rows, axis] = np.sign(mid[rows, axis])
+            want = {"circle": radial, "hole": -radial, "square": axial}
+            for cid in np.unique(curve):
+                on = curve == cid
+                assert np.abs(normals[on] - want[cid][on]).max() <= 1e-15, cid
+
+
+def test_mesh_holds_only_its_inputs():
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["vertices", "triangles", "boundary_edges"]
 
 
 class TestTextFormat:
