@@ -11,6 +11,7 @@ from pefem.analysis import (
     ConvergenceReport,
     LevelResult,
     _residual,
+    _splu,
     compensated_residual,
     error_norms,
     fit_rate,
@@ -146,9 +147,47 @@ class TestSolve:
             _solve_records(caplog, _system(hilbert, np.ones(m)))
         message = str(info.value)
         assert "10 dofs, 10 factorized" in message
-        assert "10 refinement steps" in message
-        assert len(message.split("relative residuals ")[1].split(", ")) == 11
+        # The first step does not halve the residual, so refinement stops.
+        assert "1 refinement steps" in message
+        assert len(message.split("relative residuals ")[1].split(", ")) == 2
+        assert "componentwise backward error" in message
         assert len([r for r in caplog.records if r.name == "pefem.analysis"]) == 1
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_refinement_stops_at_the_rounding_floor(self, caplog, n):
+        # F = A x is O(h^2) against |A||x| = O(1): rounding x to double
+        # alone leaves a relative residual above 1e-12, which no step can
+        # remove, though the backward error is a few units of roundoff.
+        off = -np.ones(n - 1)
+        A = sparse.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr")
+        F = A @ np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        with pytest.raises(SolverError) as info:
+            _solve_records(caplog, _system(A, F))
+        message = str(info.value)
+        history = message.split("relative residuals ")[1].split(";")[0]
+        residuals = [float(h) for h in history.split(", ")]
+        assert 2 <= len(residuals) < 11
+        assert not residuals[-1] < 0.5 * residuals[-2]
+        assert residuals[-1] > 1e-12
+        assert float(message.split("backward error ")[1]) <= 4 * np.finfo(float).eps
+
+    def test_pivots_off_zero_and_tiny_diagonal_entries(self):
+        # A diagonally dominant matrix with its rows reversed, plus 1e-9 on
+        # every other diagonal entry: the large entries sit on the
+        # anti-diagonal, and all diagonal entries but the middle two are 0
+        # or 1e-9.  SuperLU must pivot off the diagonal in nearly every
+        # column; with a threshold of 0 it would keep the 1e-9 pivots
+        # (29 of 50 off).
+        rng = np.random.default_rng(8)
+        n = 50
+        M = sparse.random(n, n, density=0.1, random_state=rng) + 4.0 * sparse.eye(n)
+        A = sparse.csr_matrix(sparse.csr_matrix(M)[::-1] + sparse.diags(np.arange(n) % 2 * 1e-9))
+        assert np.count_nonzero(np.abs(A.diagonal()) > 1e-9) <= 2
+        lu = _splu(A)
+        assert np.count_nonzero(lu.perm_r != lu.perm_c) >= 0.9 * n
+        F = A @ rng.standard_normal(n)
+        x = solve(_system(A, F))
+        assert np.linalg.norm(compensated_residual(A, x, F)) <= 1e-12 * np.linalg.norm(F)
 
     def test_refuses_bubbles_coupled_across_elements(self):
         system = _bubbly_system(np.random.default_rng(5), [[2.0, 0.5], [0.5, 3.0]])

@@ -4,6 +4,8 @@ Every condensed solution is compared with a plain SuperLU solve of the
 full assembled matrix, and its residual is taken against that full matrix.
 """
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -90,3 +92,35 @@ def test_systems_carry_the_space_bubble_table(k, assembler):
 )
 def test_condensed_solve_on_perturbed_meshes(mesh, k, assembler):
     _check_against_full_solve(_assemble(mesh, disk_geometry(), cosine_problem, k, assembler))
+
+
+@pytest.mark.parametrize(
+    "make_mesh, make_geometry, make_problem, k, ratio",
+    [
+        # 197,780 entries in L + U against 305,038 with scipy's defaults.
+        (lambda: generate_disk_mesh(64), disk_geometry, cosine_problem, 2, 0.75),
+        # 84,994 against 175,122; relaxed supernodes of 4 or 10 columns
+        # (SuperLU's default) would be padded to 97,156 or 102,160.
+        (lambda: generate_square_hole_mesh(1), square_hole_geometry, rational_problem, 4, 0.52),
+    ],
+    ids=["disk64-k2", "hole1-k4"],
+)
+def test_factorization_fills_less_than_scipy_default(make_mesh, make_geometry, make_problem, k, ratio):
+    system = _assemble(make_mesh(), make_geometry(), make_problem, k, "neumann")
+    _, _, lu_nnz = _factorize(system.A.tocsr(), system.bubble_dofs)
+    assert lu_nnz <= ratio * spla.splu(system.A.tocsc()).nnz
+
+
+def test_large_weak_penalty_needs_no_refinement(caplog):
+    # The constraint rows are scaled by theta = c_theta / h, here 1000
+    # times the default; the diagonal pivots still meet the contract at
+    # once, as partial pivoting did.
+    space = FeSpace(generate_disk_mesh(32), 4)
+    problem = cosine_problem("dirichlet")
+    system = assemble_pefem_dirichlet(space, problem, disk_geometry(), c_theta=1e4)
+    with caplog.at_level(logging.DEBUG, logger="pefem.analysis"):
+        x = solve(system)
+    (record,) = [r for r in caplog.records if r.name == "pefem.analysis"]
+    assert record.args[3] == 0
+    r = compensated_residual(system.A, x, system.F)
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(system.F)
