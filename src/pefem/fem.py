@@ -6,10 +6,10 @@ past its own edges is exactly what the boundary terms of the method need.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi
 
 from .errors import AssemblyError, SingularElementError
 from .mesh import _row_norms
@@ -50,19 +50,9 @@ class ReferenceElement:
         return np.column_stack(cols)
 
     def _monomial_gradients(self, points):
-        pts = np.atleast_2d(points)
-        gx = np.column_stack(
-            [
-                a * pts[:, 0] ** max(a - 1, 0) * pts[:, 1] ** b if a else np.zeros(len(pts))
-                for a, b in self.exponents
-            ]
-        )
-        gy = np.column_stack(
-            [
-                b * pts[:, 0] ** a * pts[:, 1] ** max(b - 1, 0) if b else np.zeros(len(pts))
-                for a, b in self.exponents
-            ]
-        )
+        x, y = np.atleast_2d(points).T
+        gx = np.column_stack([a * x ** max(a - 1, 0) * y**b for a, b in self.exponents])
+        gy = np.column_stack([b * x**a * y ** max(b - 1, 0) for a, b in self.exponents])
         return gx, gy
 
     def eval(self, points):
@@ -87,23 +77,54 @@ def reference_element(degree):
 # quadrature
 
 
-def triangle_quadrature(exact_degree):
-    """Conical-product rule on the reference triangle.
+# Fully symmetric rules on the reference triangle by exact degree d, with
+# 3, 6, 12, 16 and 25 points.  Each row is an orbit: a weight and
+# barycentric coordinates (l0, l1, l2), giving the point (l1, l2) for each
+# distinct permutation.  The values are roots of the moment equations,
+# solved to 50 digits, and `tests/test_fem.py` solves them again.  Where
+# several roots have interior points and positive weights (d = 6 and 10),
+# the rule is the one whose error on degree d + 1 has the least L2 norm.
+_SYMMETRIC_RULES = {
+    2: (
+        (0.16666666666666666, 0.6666666666666666, 0.16666666666666666, 0.16666666666666666),
+    ),
+    4: (
+        (0.054975871827660935, 0.8168475729804585, 0.09157621350977074, 0.09157621350977074),
+        (0.11169079483900574, 0.10810301816807023, 0.4459484909159649, 0.4459484909159649),
+    ),
+    6: (
+        (0.02542245318510341, 0.8738219710169955, 0.06308901449150223, 0.06308901449150223),
+        (0.058393137863189684, 0.5014265096581791, 0.24928674517091043, 0.24928674517091043),
+        (0.041425537809186785, 0.6365024991213987, 0.3103524510337844, 0.053145049844816945),
+    ),
+    8: (
+        (0.07215780383889359, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333),
+        (0.01622924881159904, 0.8989055433659381, 0.05054722831703098, 0.05054722831703098),
+        (0.05160868526735912, 0.6588613844964796, 0.1705693077517602, 0.1705693077517602),
+        (0.04754581713364231, 0.0814148234145537, 0.4592925882927232, 0.4592925882927232),
+        (0.013615157087217496, 0.7284923929554042, 0.2631128296346381, 0.008394777409957605),
+    ),
+    10: (
+        (0.040871664573142986, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333),
+        (0.006676484406574783, 0.935889253566113, 0.03205537321694351, 0.03205537321694351),
+        (0.022978981802372365, 0.7156777978868712, 0.14216110105656438, 0.14216110105656438),
+        (0.012648878853644192, 0.807930600922879, 0.1637017337371825, 0.02836766533993844),
+        (0.017092324081479714, 0.6012333286834592, 0.36914678182781097, 0.02961988948872977),
+        (0.03195245319821202, 0.530054118927344, 0.32181299528883545, 0.14813288578382056),
+    ),
+}
 
-    Exact for all polynomials of total degree <= exact_degree; all weights
-    positive.
-    """
-    n = (exact_degree + 2) // 2 + 1
-    # Legendre on [0,1] for the first coordinate.
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n)
-    x_gl = 0.5 * (x_gl + 1.0)
-    w_gl = 0.5 * w_gl
-    # Jacobi weight (1 - y) on [0,1] for the collapsed coordinate.
-    x_gj, w_gj = roots_jacobi(n, 1.0, 0.0)
-    x_gj = 0.5 * (x_gj + 1.0)
-    w_gj = 0.25 * w_gj
-    (xu, xv), (wu, wv) = np.meshgrid(x_gl, x_gj), np.meshgrid(w_gl, w_gj)
-    return np.column_stack([(xu * (1.0 - xv)).ravel(), xv.ravel()]), (wu * wv).ravel()
+
+def triangle_quadrature(exact_degree):
+    """The smallest stored rule exact for all polynomials of total degree
+    <= exact_degree, 1 to 10: points (n, 2) inside the reference triangle
+    and positive weights (n,) summing to its area 1/2."""
+    if not 1 <= exact_degree <= 10:
+        raise ValueError(f"no triangle rule exact to degree {exact_degree}; 1 to 10 are stored")
+    rule = _SYMMETRIC_RULES[exact_degree + exact_degree % 2]
+    orbits = [(w, dict.fromkeys(permutations(bary))) for w, *bary in rule]
+    points = np.array([bary[1:] for _, orbit in orbits for bary in orbit])
+    return points, np.array([w for w, orbit in orbits for _ in orbit])
 
 
 def segment_quadrature(n_points):

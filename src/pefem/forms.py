@@ -102,17 +102,20 @@ def _replace_rows(space, problem, rows, constraint, rhs):
     `rows` swapped for constraint rows.
 
     `constraint` (COO) is zero outside `rows`; `rhs` holds the new
-    right-hand side, one entry per row in `rows`.
+    right-hand side, one entry per row in `rows`.  Each row of the result
+    is the operator's CSR row or the constraint's, taken by one gather.
     """
-    K = assemble_operator(space, p=problem.p, q=problem.q).tocoo()
+    K = assemble_operator(space, p=problem.p, q=problem.q)
+    C = constraint.tocsr()
     F = assemble_load(space, problem.f)
-    replaced = np.zeros(K.shape[0], dtype=bool)
-    replaced[rows] = True
-    keep = ~replaced[K.row]
-    row = np.concatenate([K.row[keep], constraint.row])
-    col = np.concatenate([K.col[keep], constraint.col])
-    data = np.concatenate([K.data[keep], constraint.data])
-    A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
+    replaced = np.isin(np.arange(K.shape[0]), rows)
+    lengths = np.where(replaced, np.diff(C.indptr), np.diff(K.indptr))
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    starts = np.where(replaced, K.nnz + C.indptr[:-1], K.indptr[:-1])
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+    data = np.concatenate([K.data, C.data])[take]
+    indices = np.concatenate([K.indices, C.indices])[take]
+    A = sparse.csr_matrix((data, indices, indptr), shape=K.shape)
     F[rows] = rhs
     return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
 

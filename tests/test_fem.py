@@ -1,6 +1,8 @@
 """Tests for reference elements, quadrature, spaces, and assembly."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pefem.analysis import error_norms
 from pefem.errors import AssemblyError, SingularElementError
 from pefem.fem import (
     _GEMM_ROWS,
+    _SYMMETRIC_RULES,
     FeSpace,
     affine_map,
     assemble_load,
@@ -81,6 +84,56 @@ class TestReferenceElement:
             reference_element(5).eval([[0.0, 0.0]])
 
 
+def _free_parameters(orbit):
+    """An orbit's weight, then the barycentric coordinates that are free:
+    none for the centroid, a for (a, a, 1 - 2a), a and b for the stored
+    (a, b, 1 - a - b)."""
+    w, *bary = orbit
+    distinct = len(set(bary))
+    if distinct == 1:
+        return [w]
+    return [w, max(bary, key=bary.count)] if distinct == 2 else [w, *bary[:2]]
+
+
+def _shifted_legendre_integral(a, b):
+    """Exact integral of P_a(2x - 1) P_b(2y - 1) over the reference
+    triangle, from the monomial integrals i! j! / (i + j + 2)!."""
+    coeff = lambda n, i: (-1) ** (n + i) * math.comb(n, i) * math.comb(n + i, i)
+    total = sum(
+        Fraction(coeff(a, i) * coeff(b, j) * math.factorial(i) * math.factorial(j),
+                 math.factorial(i + j + 2))
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
+    return float(total)
+
+
+def _moment_residuals(sizes, params, degree):
+    """Rule minus exact integral of P_a(2x - 1) P_b(2y - 1), a + b <= degree,
+    for the orbits with these numbers of free parameters.  The shifted
+    Legendre products are bounded by one on the triangle, which keeps the
+    equations far better conditioned than monomials.  Complex parameters
+    are allowed."""
+    points, weights, i = [], [], 0
+    for n in sizes:
+        w, free = params[i], params[i + 1 : i + n]
+        i += n
+        a, b = (1 / 3, 1 / 3) if n == 1 else (free[0], free[0]) if n == 2 else free
+        orbit = [(a, a, a)] if n == 1 else dict.fromkeys(itertools.permutations((a, b, 1 - a - b)))
+        points += [bary[1:] for bary in orbit]
+        weights += [w] * len(orbit)
+    points, weights = np.array(points), np.array(weights)
+    px = np.polynomial.legendre.legvander(2 * points[:, 0] - 1, degree)
+    py = np.polynomial.legendre.legvander(2 * points[:, 1] - 1, degree)
+    return np.array(
+        [
+            weights @ (px[:, a] * py[:, b]) - _shifted_legendre_integral(a, b)
+            for a in range(degree + 1)
+            for b in range(degree + 1 - a)
+        ]
+    )
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("deg", [2, 4, 6, 8, 10])
     def test_exact_on_monomials(self, deg):
@@ -95,10 +148,57 @@ class TestQuadrature:
                 assert got == pytest.approx(want, abs=1e-15, rel=1e-13)
 
     def test_weights_positive_and_sum_to_area(self):
-        for deg in (2, 6, 10):
+        for deg in (2, 4, 6, 8, 10):
             pts, wts = triangle_quadrature(deg)
             assert np.all(wts > 0)
             assert np.sum(wts) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "deg, count", [(1, 3), (2, 3), (3, 6), (4, 6), (6, 12), (7, 16), (8, 16), (10, 25)]
+    )
+    def test_point_counts(self, deg, count):
+        pts, wts = triangle_quadrature(deg)
+        assert pts.shape == (count, 2) and wts.shape == (count,)
+
+    @pytest.mark.parametrize("deg", [2, 4, 6, 8, 10])
+    def test_points_strictly_inside(self, deg):
+        pts, _ = triangle_quadrature(deg)
+        assert np.all(pts > 0) and np.all(pts.sum(axis=1) < 1)
+
+    @pytest.mark.parametrize("deg", [2, 4, 6, 8, 10])
+    def test_invariant_under_barycentric_permutations(self, deg):
+        pts, wts = triangle_quadrature(deg)
+        bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+        for perm in itertools.permutations(range(3)):
+            moved = bary[:, perm][:, 1:]
+            dist = np.linalg.norm(moved[:, None, :] - pts[None, :, :], axis=2)
+            match = dist.argmin(axis=1)
+            assert dist.min(axis=1).max() <= 1e-15
+            assert sorted(match) == list(range(len(pts)))
+            assert np.array_equal(wts[match], wts)
+
+    @pytest.mark.parametrize("deg", [0, 11])
+    def test_refuses_degrees_without_a_rule(self, deg):
+        with pytest.raises(ValueError, match="1 to 10"):
+            triangle_quadrature(deg)
+
+    @pytest.mark.parametrize("deg", sorted(_SYMMETRIC_RULES))
+    def test_each_rule_is_an_isolated_root_of_the_moment_equations(self, deg):
+        # Gauss-Newton on the orbit parameters, from the stored values
+        # rounded to 4 digits, must return to them: the rule is a root of
+        # the moment equations and no other root lies near it.
+        rule = _SYMMETRIC_RULES[deg]
+        sizes = [len(_free_parameters(orbit)) for orbit in rule]
+        stored = np.concatenate([_free_parameters(orbit) for orbit in rule])
+        x = np.round(stored, 4)
+        step = 1e-30  # complex-step derivatives, exact to rounding
+        for _ in range(8):
+            jac = np.column_stack(
+                [_moment_residuals(sizes, x + 1j * step * e, deg).imag / step for e in np.eye(len(x))]
+            )
+            residual = _moment_residuals(sizes, x, deg).real
+            x = x - np.linalg.lstsq(jac, residual, rcond=None)[0]
+        assert np.abs(x - stored).max() <= 1e-14
 
     def test_segment_rule(self):
         x, w = segment_quadrature(4)

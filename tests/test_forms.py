@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pefem import forms
 from pefem.analysis import error_norms, patch_test, solve
 from pefem.errors import AssemblyError, ConfigurationError
-from pefem.fem import FeSpace, eval_fe, segment_quadrature
+from pefem.fem import FeSpace, assemble_load, assemble_operator, eval_fe, segment_quadrature
 from pefem.forms import (
     DEFAULT_C_THETA,
+    LinearSystem,
     ProblemSpec,
     assemble_pefem_dirichlet,
     assemble_pefem_dirichlet_strong,
@@ -274,6 +277,67 @@ def test_correction_vanishes_on_straight_boundary_of_any_mesh(mesh, k):
     # axis vectors, so the two fluxes agree bit for bit.
     tau = assemble_tau_neumann(FeSpace(mesh, k), cosine_problem("neumann"), square_geometry())
     assert tau.nnz == 0 or np.abs(tau.data).max() <= 1e-15
+
+
+PEFEM_ASSEMBLERS = {
+    "weak": (assemble_pefem_dirichlet, "dirichlet"),
+    "strong": (assemble_pefem_dirichlet_strong, "dirichlet"),
+    "neumann": (assemble_pefem_neumann, "neumann"),
+}
+
+
+@PROPERTY
+@given(perturbed_square_meshes(), st.integers(1, 4), st.sampled_from(sorted(PEFEM_ASSEMBLERS)))
+def test_patch_test_passes_on_any_mesh(mesh, k, method):
+    # Each interior vertex moves on its own, so the elements are general
+    # triangles rather than the right-angled ones of the square mesh.
+    assemble, bc_kind = PEFEM_ASSEMBLERS[method]
+    make_problem = lambda poly: polynomial_problem(poly, bc_kind)
+    rng = np.random.default_rng(k)
+    ok, h1 = patch_test(FeSpace(mesh, k), square_geometry(), assemble, make_problem, rng)
+    assert ok, f"H1 error {h1:.3e}"
+
+
+def _coo_replace_rows(space, problem, rows, constraint, rhs):
+    """Reference for `forms._replace_rows`: the kept operator entries and
+    the constraint, summed by one COO-to-CSR conversion."""
+    K = assemble_operator(space, p=problem.p, q=problem.q).tocoo()
+    keep = ~np.isin(K.row, rows)
+    row = np.concatenate([K.row[keep], constraint.row])
+    col = np.concatenate([K.col[keep], constraint.col])
+    data = np.concatenate([K.data[keep], constraint.data])
+    F = assemble_load(space, problem.f)
+    F[rows] = rhs
+    A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
+    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: (generate_square_mesh(2), square_geometry(), 1), DOMAINS["disk-k3"], DOMAINS["hole-k2"]],
+    ids=["square-k1", "disk-k3", "hole-k2"],
+)
+@pytest.mark.parametrize(
+    "assemble",
+    [
+        assemble_pefem_dirichlet,
+        assemble_pefem_dirichlet_strong,
+        assemble_standard_dirichlet,
+    ],
+    ids=["weak", "strong", "standard"],
+)
+def test_replaced_rows_match_coo_reference_bit_for_bit(assemble, case, monkeypatch):
+    # The right-angled P1 elements of the square leave explicit zeros in
+    # the operator, which both constructions must keep.
+    mesh, geo, k = case()
+    space = FeSpace(mesh, k)
+    problem = cosine_problem("dirichlet")
+    got = assemble(space, problem, geo)
+    monkeypatch.setattr(forms, "_replace_rows", _coo_replace_rows)
+    want = assemble(space, problem, geo)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.A, name), getattr(want.A, name))
+    assert np.array_equal(got.F, want.F)
 
 
 class TestBoundaryErrors:
