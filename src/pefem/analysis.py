@@ -24,50 +24,44 @@ _SPLITTER = 134217729.0
 # small enough for the cache and below glibc's default mmap threshold.
 _RESIDUAL_BLOCK = 8192
 
-_DIAGNOSTICS = "%d dofs, %d factorized, nnz(L+U) %d, %d refinement steps, relative residuals %s"
+_DIAGNOSTICS = "%d dofs, nnz(L+U) %d, %d refinement steps, relative residuals %s"
 
 
 def solve(system):
     """Sparse direct solve meeting a relative-residual contract of 1e-12.
 
-    With bubble dofs (`system.bubble_dofs`, k >= 3) the system is first
-    condensed: each element's interior block A_II is inverted, all in one
-    batch, the Schur complement S = A_BB - A_BI A_II^-1 A_IB on the other
-    dofs is factorized by SuperLU, and the bubbles are recovered element by
-    element.  Without bubbles (k <= 2, or a hand-built system) A itself is
-    factorized.  SuperLU orders by minimum degree on the pattern of
-    A + A^T and pivots on the diagonal unless a diagonal entry is below 0.1
-    times the largest in its column, which keeps the near-symmetric
-    pattern of the pefem matrices.  Its relaxed supernodes span at most 3
-    columns: SuperLU's default of 10 pads them with explicit zeros, which
-    on this ordering stores 23.6M entries in place of 12.6M for the square
-    with a hole, level 4, k = 4.  The solution is then refined with the same
-    factorization until the relative residual ||F - A x|| / ||F|| of the
-    full A is at most 1e-12.  Refinement stops, as LAPACK's xGERFS does,
-    once a step fails to halve the residual, or after 10 steps; SolverError
-    then reports the residual history and the componentwise backward error
+    SuperLU factorizes the assembled matrix A once.  It orders by minimum
+    degree on the pattern of A + A^T and pivots on the diagonal unless a
+    diagonal entry is below 0.1 times the largest in its column, which
+    keeps the near-symmetric pattern of the pefem matrices.  Its relaxed
+    supernodes span at most 3 columns: SuperLU's default of 10 pads them
+    with explicit zeros.  The solution is then refined with the same
+    factorization until the relative residual ||F - A x|| / ||F|| is at
+    most 1e-12.  Refinement stops, as LAPACK's xGERFS does, once a step
+    fails to halve the residual, or after 10 steps; SolverError then
+    reports the residual history and the componentwise backward error
     max |r| / (|A||x| + |F|).  The residual is taken in plain double
     arithmetic where its rounding error bound still proves the contract,
     and by `compensated_residual` otherwise.  Each call logs one DEBUG
-    record with the full and factorized sizes, nnz(L+U), the refinement
-    steps and the residuals.
+    record with the size, nnz(L+U), the refinement steps and the
+    residuals.
     """
     A = system.A.tocsr()
     F = np.asarray(system.F, dtype=float)
-    solve_factored, n_factored, lu_nnz = _factorize(A, np.asarray(system.bubble_dofs))
-    x = solve_factored(F)
+    lu = _splu(A)
+    x = lu.solve(F)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite entries")
     scale = np.linalg.norm(F) or 1.0
     history = []
     for step in range(MAX_REFINEMENT_STEPS + 1):
         if step:
-            x = x + solve_factored(r)
+            x = x + lu.solve(r)
         r = _residual(A, x, F, RESIDUAL_TOL * scale)
         history.append(float(np.linalg.norm(r) / scale))
         if history[-1] <= RESIDUAL_TOL or (step and not history[-1] < 0.5 * history[-2]):
             break
-    diagnostics = (A.shape[0], n_factored, lu_nnz, step, ", ".join(f"{h:.3e}" for h in history))
+    diagnostics = (A.shape[0], lu.nnz, step, ", ".join(f"{h:.3e}" for h in history))
     log.debug("solve: " + _DIAGNOSTICS, *diagnostics)
     if history[-1] > RESIDUAL_TOL:
         raise SolverError(
@@ -115,94 +109,6 @@ def _splu(M):
         )
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-
-
-def _factorize(A, bubble_dofs):
-    """Factorize the CSR matrix A, condensing `bubble_dofs` when it has any.
-
-    Returns (solve, n_factored, nnz(L+U)), where `solve` maps a right-hand
-    side to the full solution with the one factorization.
-    """
-    n = A.shape[0]
-    if bubble_dofs.size == 0:
-        lu = _splu(A)
-        return lu.solve, n, lu.nnz
-    n_elements, n_int = bubble_dofs.shape
-    n_i = bubble_dofs.size
-    n_b = n - n_i
-    if not np.array_equal(bubble_dofs.ravel(), np.arange(n_b, n)):
-        raise ConfigurationError("bubble dofs must be the last dofs, numbered element by element")
-    # The top and bottom rows share A's arrays: A[:n_b] would copy nearly
-    # all of A (10 MB more peak memory at disk n = 128, k = 4).
-    cut = A.indptr[n_b]
-    top = sparse.csr_matrix((A.data[:cut], A.indices[:cut], A.indptr[: n_b + 1]), shape=(n_b, n))
-    # The bottom rows' entries split by column into A_IB and the bubble block.
-    row = np.repeat(np.arange(n_i), np.diff(A.indptr[n_b:]))
-    col, vals = A.indices[cut:], A.data[cut:]
-    left = col < n_b
-    A_ib = sparse.csr_matrix(
-        (
-            vals[left],
-            col[left],
-            np.concatenate([[0], np.cumsum(np.bincount(row[left], minlength=n_i))]),
-        ),
-        shape=(n_i, n_b),
-    )
-    row, col, vals = row[~left], col[~left] - n_b, vals[~left]
-    element = row // n_int
-    stray = (element != col // n_int) & (vals != 0)
-    if np.any(stray):
-        i = int(np.argmax(stray))
-        raise SolverError(
-            f"bubble dof {n_b + row[i]} of element {element[i]} couples to bubble dof "
-            f"{n_b + col[i]} of element {col[i] // n_int}: the bubbles cannot be "
-            "condensed element by element"
-        )
-    blocks = np.bincount(row * n_int + col % n_int, weights=vals, minlength=n_i * n_int)
-    inverse = _invert_blocks(blocks.reshape(n_elements, n_int, n_int))
-    # A_II^-1 as a block-diagonal CSR matrix.
-    A_ii_inv = sparse.csr_matrix(
-        (
-            inverse.ravel(),
-            (np.arange(n_i)[:, None] // n_int * n_int + np.arange(n_int)).ravel(),
-            np.arange(n_i + 1) * n_int,
-        ),
-        shape=(n_i, n_i),
-    )
-    W = A_ii_inv @ A_ib
-    # S = A_BB - A_BI W is the top rows times [I; -W], one product.
-    eliminate = sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(n_b), -W.data]),
-            np.concatenate([np.arange(n_b), W.indices]),
-            np.concatenate([np.arange(n_b), n_b + W.indptr]),
-        ),
-        shape=(n, n_b),
-    )
-    lu = _splu(top @ eliminate)
-
-    def solve_condensed(rhs):
-        g = A_ii_inv @ rhs[n_b:]
-        x_b = lu.solve(rhs[:n_b] - top @ np.concatenate([np.zeros(n_b), g]))
-        return np.concatenate([x_b, g - W @ x_b])
-
-    return solve_condensed, n_b, lu.nnz
-
-
-def _invert_blocks(blocks):
-    """Inverses of the bubble blocks (n_elements, n, n) in one batch;
-    SingularSystemError naming the first element whose block is singular."""
-    try:
-        inverse = np.linalg.inv(blocks)
-        if np.all(np.isfinite(inverse)):
-            return inverse
-    except np.linalg.LinAlgError:
-        pass
-    finite = np.all(np.isfinite(blocks), axis=(1, 2))
-    s = np.linalg.svd(np.where(finite[:, None, None], blocks, 0.0), compute_uv=False)
-    singular = ~finite | (s[:, -1] <= s[:, 0] * blocks.shape[-1] * np.finfo(float).eps)
-    element = int(np.argmax(singular))
-    raise SingularSystemError(f"element {element}: singular bubble block {blocks[element].tolist()}")
 
 
 def _split(a):

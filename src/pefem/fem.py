@@ -193,12 +193,7 @@ class FeSpace:
 
     Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
     from the lower- to the higher-numbered vertex), then the element-interior
-    ("bubble") dofs, (k-1)(k-2)/2 per element, element by element.  These
-    form the last block of the numbering: `bubble_dofs` (n_elements,
-    (k-1)(k-2)/2) lists element e's bubbles in row e, and its rows are
-    consecutive, so `bubble_dofs.ravel()` is the range of the last
-    `bubble_dofs.size` dofs.  No boundary node is a bubble, which is what
-    lets `solve` condense them element by element.
+    ("bubble") dofs, (k-1)(k-2)/2 per element, element by element.
 
     `boundary_dofs` are the dofs whose nodes lie on the polygonal boundary;
     `interior_dofs` are all the others (vertex, edge and bubble dofs off the
@@ -236,8 +231,7 @@ class FeSpace:
         along = np.where(forward, pos, k - pos)
         cell_dofs[:, inner] = nv + table.tri_edges[..., None] * (k - 1) + along - 1
         interior = np.flatnonzero(np.all(bary > 0, axis=1))
-        self.bubble_dofs = nv + (k - 1) * ne + np.arange(nt * n_int).reshape(nt, n_int)
-        cell_dofs[:, interior] = self.bubble_dofs
+        cell_dofs[:, interior] = nv + (k - 1) * ne + np.arange(nt * n_int).reshape(nt, n_int)
         self.cell_dofs = cell_dofs
 
         triangle_points, triangle_weights = triangle_quadrature(2 * k + 2)

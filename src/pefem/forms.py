@@ -9,7 +9,7 @@ and the discrete flux on the polygonal one.  A classical nodal-interpolation
 variant is included as the suboptimal baseline.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -79,13 +79,10 @@ class LinearSystem:
 
     The matrix is nonsymmetric in general: constraint rows couple a
     boundary test function to every dof of the adjacent element.
-    `bubble_dofs` is the space's per-element table of interior dofs (see
-    `FeSpace`), which `solve` condenses; the default has none.
     """
 
     A: sparse.csr_matrix
     F: np.ndarray
-    bubble_dofs: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
 
 
 def _sparse_rows(space, rows, cols, values):
@@ -117,7 +114,7 @@ def _replace_rows(space, problem, rows, constraint, rhs):
     indices = np.concatenate([K.indices, C.indices])[take]
     A = sparse.csr_matrix((data, indices, indptr), shape=K.shape)
     F[rows] = rhs
-    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F)
 
 
 def _edge_quadrature(space, geometry):
@@ -230,7 +227,7 @@ def assemble_pefem_neumann(space, problem, geometry):
     A = assemble_operator(space, p=problem.p, q=problem.q)
     F = assemble_load(space, problem.f)
     F += _edge_load(space, np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    return LinearSystem((A + tau).tocsr(), F, bubble_dofs=space.bubble_dofs)
+    return LinearSystem((A + tau).tocsr(), F)
 
 
 def assemble_tau_neumann(space, problem, geometry):

@@ -257,6 +257,19 @@ class TestFeSpace:
         expected = nv + (k - 1) * ne + (k - 1) * (k - 2) // 2 * nt
         assert space.n_dofs == expected
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_element_interior_dofs_come_last(self, k):
+        # The nodes strictly inside each element are numbered after every
+        # vertex and edge dof, element by element.
+        mesh = generate_disk_mesh(16)
+        space = FeSpace(mesh, k)
+        i, j = np.array(space.ref.node_lattice).T
+        inside = (i > 0) & (j > 0) & (i + j < k)
+        n_inside = len(mesh.triangles) * int(inside.sum())
+        first = space.n_dofs - n_inside
+        assert np.array_equal(space.cell_dofs[:, inside].ravel(), np.arange(first, space.n_dofs))
+        assert np.all(space.cell_dofs[:, ~inside] < first)
+
     def test_neighbors_share_edge_dofs(self):
         # Across every interior edge, the two triangles list the same
         # global dofs in opposite order (each walks the edge from its own

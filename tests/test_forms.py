@@ -34,7 +34,7 @@ from pefem.problems import (
     polynomial_problem,
     rational_problem,
 )
-from test_edge_table import PROPERTY
+from test_edge_table import PROPERTY, perturbed_disk_meshes
 
 
 DOMAINS = {
@@ -298,6 +298,17 @@ def test_patch_test_passes_on_any_mesh(mesh, k, method):
     assert ok, f"H1 error {h1:.3e}"
 
 
+@PROPERTY
+@given(perturbed_disk_meshes(), st.integers(1, 4), st.floats(-1.0, 3.0))
+def test_weak_solution_does_not_depend_on_c_theta(mesh, k, e):
+    # c_theta scales the replaced rows and their right-hand side alike,
+    # so the exact solution of the system does not change with it.
+    space, problem = FeSpace(mesh, k), cosine_problem("dirichlet")
+    default = solve(assemble_pefem_dirichlet(space, problem, disk_geometry()))
+    scaled = solve(assemble_pefem_dirichlet(space, problem, disk_geometry(), c_theta=10.0**e))
+    assert np.linalg.norm(scaled - default) <= 1e-8 * np.linalg.norm(default)
+
+
 def _coo_replace_rows(space, problem, rows, constraint, rhs):
     """Reference for `forms._replace_rows`: the kept operator entries and
     the constraint, summed by one COO-to-CSR conversion."""
@@ -309,7 +320,7 @@ def _coo_replace_rows(space, problem, rows, constraint, rhs):
     F = assemble_load(space, problem.f)
     F[rows] = rhs
     A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
-    return LinearSystem(A, F, bubble_dofs=space.bubble_dofs)
+    return LinearSystem(A, F)
 
 
 @pytest.mark.parametrize(
