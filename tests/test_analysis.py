@@ -6,9 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pefem.analysis import (
     ConvergenceReport,
@@ -22,43 +19,12 @@ from pefem.analysis import (
 )
 from pefem.errors import AssemblyError, ConfigurationError, SingularSystemError, SolverError
 from pefem.fem import FeSpace
-from pefem.forms import (
-    LinearSystem,
-    assemble_pefem_dirichlet,
-    assemble_pefem_dirichlet_strong,
-    assemble_pefem_neumann,
-    assemble_standard_dirichlet,
-)
-from pefem.geometry import disk_geometry, square_hole_geometry
-from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh, generate_square_mesh
-from pefem.problems import cosine_problem, rational_problem
-from test_edge_table import PROPERTY, perturbed_disk_meshes
-
-ASSEMBLERS = {
-    "weak": (assemble_pefem_dirichlet, "dirichlet"),
-    "strong": (assemble_pefem_dirichlet_strong, "dirichlet"),
-    "neumann": (assemble_pefem_neumann, "neumann"),
-    "standard": (assemble_standard_dirichlet, "dirichlet"),
-}
-DOMAINS = {
-    "disk16": (lambda: generate_disk_mesh(16), disk_geometry, cosine_problem),
-    "hole1": (lambda: generate_square_hole_mesh(1), square_hole_geometry, rational_problem),
-}
+from pefem.forms import LinearSystem
+from pefem.mesh import generate_square_mesh
 
 
 def _system(A, F):
     return LinearSystem(sparse.csr_matrix(A), np.asarray(F, dtype=float))
-
-
-def _assemble(mesh, geometry, make_problem, k, assembler):
-    assemble, bc_kind = ASSEMBLERS[assembler]
-    return assemble(FeSpace(mesh, k), make_problem(bc_kind), geometry)
-
-
-def _check_contract(system):
-    x = solve(system)
-    r = compensated_residual(system.A, x, system.F)
-    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(system.F)
 
 
 def _solve_records(caplog, system):
@@ -216,53 +182,6 @@ class TestSolve:
         F = A @ rng.standard_normal(n)
         x = solve(_system(A, F))
         assert np.linalg.norm(compensated_residual(A, x, F)) <= 1e-12 * np.linalg.norm(F)
-
-
-@pytest.mark.parametrize("assembler", sorted(ASSEMBLERS))
-@pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("domain", sorted(DOMAINS))
-def test_assembled_systems_meet_the_contract(domain, k, assembler):
-    make_mesh, make_geometry, make_problem = DOMAINS[domain]
-    _check_contract(_assemble(make_mesh(), make_geometry(), make_problem, k, assembler))
-
-
-@PROPERTY
-@given(
-    perturbed_disk_meshes(),
-    st.sampled_from([3, 4]),
-    st.sampled_from(sorted(ASSEMBLERS)),
-)
-def test_assembled_systems_meet_the_contract_on_perturbed_meshes(mesh, k, assembler):
-    _check_contract(_assemble(mesh, disk_geometry(), cosine_problem, k, assembler))
-
-
-@pytest.mark.parametrize(
-    "make_mesh, make_geometry, make_problem, k, ratio",
-    [
-        # 197,780 entries in L + U against 305,038 with scipy's defaults.
-        (lambda: generate_disk_mesh(64), disk_geometry, cosine_problem, 2, 0.75),
-        # 105,418 against 175,122; relaxed supernodes of 4 or 10 columns
-        # (SuperLU's default) would be padded to 105,664 or 112,900.
-        (lambda: generate_square_hole_mesh(1), square_hole_geometry, rational_problem, 4, 0.62),
-    ],
-    ids=["disk64-k2", "hole1-k4"],
-)
-def test_factorization_fills_less_than_scipy_default(make_mesh, make_geometry, make_problem, k, ratio):
-    system = _assemble(make_mesh(), make_geometry(), make_problem, k, "neumann")
-    assert _splu(system.A).nnz <= ratio * spla.splu(system.A.tocsc()).nnz
-
-
-def test_large_weak_penalty_needs_no_refinement(caplog):
-    # The constraint rows are scaled by theta = c_theta / h, here 1000
-    # times the default; the diagonal pivots still meet the contract at
-    # once, as partial pivoting did.
-    space = FeSpace(generate_disk_mesh(32), 4)
-    problem = cosine_problem("dirichlet")
-    system = assemble_pefem_dirichlet(space, problem, disk_geometry(), c_theta=1e4)
-    x, records = _solve_records(caplog, system)
-    assert records[0].args[2] == 0
-    r = compensated_residual(system.A, x, system.F)
-    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(system.F)
 
 
 class TestErrorNorms:
