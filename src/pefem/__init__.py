@@ -17,7 +17,6 @@ from .errors import (
     AssemblyError,
     ConfigurationError,
     DegenerateGradientError,
-    MeshFormatError,
     PefemError,
     ProjectionError,
     SingularElementError,
@@ -63,9 +62,7 @@ from .mesh import (
     generate_ellipse_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
-    read_mesh,
     validate,
-    write_mesh,
 )
 from .problems import (
     Poly2D,
@@ -89,7 +86,6 @@ __all__ = [
     "LevelResult",
     "LinearSystem",
     "Mesh",
-    "MeshFormatError",
     "PefemError",
     "Poly2D",
     "ProblemSpec",
@@ -122,7 +118,6 @@ __all__ = [
     "polynomial_problem",
     "preset_problem",
     "rational_problem",
-    "read_mesh",
     "reference_element",
     "segment_quadrature",
     "solve",
@@ -132,5 +127,4 @@ __all__ = [
     "triangle_quadrature",
     "validate",
     "verify_problem_consistency",
-    "write_mesh",
 ]

@@ -3,7 +3,6 @@
 Subcommands:
   run    convergence study over a refinement family, CSV/markdown output
   patch  single polynomial-reproduction test
-  mesh   generate a mesh file
 
 Configuration is a line-oriented ``key=value`` file; command-line flags
 override file values.
@@ -39,8 +38,6 @@ from .mesh import (
     generate_disk_mesh,
     generate_ellipse_mesh,
     generate_square_hole_mesh,
-    validate,
-    write_mesh,
 )
 from .problems import polynomial_problem, preset_problem, random_polynomial
 
@@ -50,7 +47,24 @@ METHODS = (
     "pefem-neumann",
     "standard",
 )
-DOMAINS = ("disk", "square_hole", "ellipse")
+# Each domain: its mesh at refinement level l, its geometry and its default
+# problem preset.  The lambdas look the generators up when called, so that
+# rebinding a module name (monkeypatch, perfbench's tracing) reaches them.
+_DOMAINS = {
+    "disk": (
+        lambda level: generate_disk_mesh(16 * 2**level), lambda: disk_geometry(), "convex-cos"
+    ),
+    "square_hole": (
+        lambda level: generate_square_hole_mesh(level),
+        lambda: square_hole_geometry(),
+        "nonconvex-rational",
+    ),
+    # n = 16 scaled to the ellipse fails validate's minimum angle.
+    "ellipse": (
+        lambda level: generate_ellipse_mesh(32 * 2**level), lambda: ellipse_geometry(), "convex-cos"
+    ),
+}
+DOMAINS = tuple(_DOMAINS)
 PROBLEMS = ("convex-cos", "nonconvex-rational", "patch-k")
 
 
@@ -90,7 +104,7 @@ class ExperimentConfig:
         if levels < 2:
             raise ConfigurationError(f"need at least 2 levels, got {levels}")
         if problem is None:
-            problem = "nonconvex-rational" if domain == "square_hole" else "convex-cos"
+            problem = _DOMAINS[domain][2]
         if problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem preset {problem!r}")
         seed = _integer("seed", seed)
@@ -143,15 +157,6 @@ def build_config(file_values, overrides):
     return ExperimentConfig(**merged)
 
 
-def _domain_tools(domain):
-    if domain == "disk":
-        return (lambda level: generate_disk_mesh(16 * 2**level)), disk_geometry()
-    if domain == "ellipse":
-        # n = 16 scaled to the ellipse fails validate's minimum angle.
-        return (lambda level: generate_ellipse_mesh(32 * 2**level)), ellipse_geometry()
-    return generate_square_hole_mesh, square_hole_geometry()
-
-
 def _assembler(config):
     if config.method == "pefem-dirichlet-weak":
         return lambda s, p, g: assemble_pefem_dirichlet(s, p, g, c_theta=config.c_theta)
@@ -179,7 +184,8 @@ def run_study(config):
     Returns a ConvergenceReport; raises PefemError subclasses (annotated
     with the failing level) on any assembly or solver failure.
     """
-    mesh_for_level, geometry = _domain_tools(config.domain)
+    mesh_for_level, make_geometry, _problem = _DOMAINS[config.domain]
+    geometry = make_geometry()
     assemble = _assembler(config)
     rng = np.random.default_rng(config.seed)
     report = ConvergenceReport(method=config.method, degree=config.k)
@@ -314,11 +320,11 @@ def cmd_patch(args):
         problem="patch-k",
         seed=args.seed,
     )
-    mesh_for_level, geometry = _domain_tools(config.domain)
+    mesh_for_level, make_geometry, _problem = _DOMAINS[config.domain]
     space = FeSpace(mesh_for_level(1), config.k)
     ok, h1 = patch_test(
         space,
-        geometry,
+        make_geometry(),
         _assembler(config),
         lambda poly: polynomial_problem(poly, config.bc_kind),
         np.random.default_rng(config.seed),
@@ -328,22 +334,6 @@ def cmd_patch(args):
         f"seed={config.seed} h1_error={h1:.3e} -> {'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
-
-
-def cmd_mesh(args):
-    if args.level < 0:
-        raise ConfigurationError(f"level must be >= 0, got {args.level}")
-    mesh_for_level, geometry = _domain_tools(args.domain)
-    mesh = mesh_for_level(args.level)
-    result = validate(mesh, geometry)
-    if not result.ok:
-        for violation in result.violations:
-            print("violation:", violation, file=sys.stderr)
-        return 1
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_mesh(mesh))
-    print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
-    return 0
 
 
 def build_parser():
@@ -368,12 +358,6 @@ def build_parser():
     patch.add_argument("--domain", choices=DOMAINS, required=True)
     patch.add_argument("--seed", type=int, default=0)
     patch.set_defaults(func=cmd_patch)
-
-    mesh = sub.add_parser("mesh", help="generate a mesh file")
-    mesh.add_argument("--domain", choices=DOMAINS, required=True)
-    mesh.add_argument("--level", type=int, required=True)
-    mesh.add_argument("--out", required=True)
-    mesh.set_defaults(func=cmd_mesh)
     return parser
 
 

@@ -25,16 +25,6 @@ class DegenerateGradientError(PefemError):
     """Level-set gradient vanished where a normal was requested."""
 
 
-class MeshFormatError(PefemError):
-    """Malformed mesh text; carries the offending line number when known."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class SingularElementError(PefemError):
     """A triangle with (numerically) zero area was mapped."""
 

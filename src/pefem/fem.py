@@ -142,11 +142,18 @@ def affine_map(vertices):
 
     `vertices` has shape (..., 3, 2).  Returns (B, b, det, Binv), with
     shapes (..., 2, 2), (..., 2), (...) and (..., 2, 2), such that
-    x = B xi + b and det = det(B) > 0.  A triangle that is degenerate
-    relative to its size, or oriented clockwise, raises
-    SingularElementError naming its index in the flattened batch.
+    x = B xi + b and det = det(B) > 0.  A triangle with a non-finite
+    vertex, one that is degenerate relative to its size, or one oriented
+    clockwise raises SingularElementError naming its index in the
+    flattened batch.
     """
     v = np.asarray(vertices, dtype=float)
+    flat = v.reshape(-1, 3, 2)
+    # Checked first: a NaN det passes the comparisons below, and inf - inf warns.
+    nonfinite = ~np.isfinite(flat).all(axis=(1, 2))
+    if np.any(nonfinite):
+        i = int(np.flatnonzero(nonfinite)[0])
+        raise SingularElementError(f"element {i}: non-finite vertices {flat[i].tolist()}")
     e1, e2 = v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]
     B = np.stack([e1, e2], axis=-1)
     det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
@@ -157,7 +164,7 @@ def affine_map(vertices):
         i = int(np.flatnonzero(bad)[0])
         what = "degenerate" if degenerate.flat[i] else "clockwise"
         raise SingularElementError(
-            f"element {i}: {what} triangle with vertices {v.reshape(-1, 3, 2)[i].tolist()}"
+            f"element {i}: {what} triangle with vertices {flat[i].tolist()}"
         )
     Binv = np.empty_like(B)
     Binv[..., 0, 0], Binv[..., 0, 1] = B[..., 1, 1], -B[..., 0, 1]

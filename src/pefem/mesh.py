@@ -2,8 +2,9 @@
 
 Generators produce meshes whose boundary vertices lie exactly on the true
 curved boundary, so the gap between the polygonal and true boundaries
-shrinks like the square of the mesh size.  A line-oriented text format is
-provided so externally generated meshes can be used as well.
+shrinks like the square of the mesh size.  A mesh built elsewhere enters
+as ``Mesh(vertices, triangles, boundary_edges)`` and is checked by
+`validate`.
 """
 
 import math
@@ -13,7 +14,6 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .errors import MeshFormatError
 from .geometry import _per_curve
 
 MIN_ANGLE_DEG = 20.0
@@ -261,12 +261,28 @@ class ValidationReport:
 
 
 def validate(mesh, geometry=None):
-    """Check mesh invariants; the report lists violations with indices."""
+    """Check the invariants the pipeline relies on; the report lists each
+    violation with its indices.  In order: triangle vertex indices in range
+    and finite vertex coordinates (either failure ends the check), positive
+    triangle areas, boundary edge indices in range (failure ends the check),
+    boundary tags on exactly the single-triangle edges, each with its
+    triangle, closed boundary loops, boundary vertices on the true curve
+    (given a geometry), and no angle below MIN_ANGLE_DEG.
+    """
     v = []
     verts, tris = mesh.vertices, mesh.triangles
 
+    in_range = np.all((tris >= 0) & (tris < len(verts)), axis=1)
+    if not np.all(in_range):
+        v.extend(f"triangle {t}: vertex index out of range" for t in np.flatnonzero(~in_range))
+        return ValidationReport(v)
+    finite = np.all(np.isfinite(verts), axis=1)
+    if not np.all(finite):
+        v.extend(f"vertex {i}: non-finite coordinates" for i in np.flatnonzero(~finite))
+        return ValidationReport(v)
+
     areas = 0.5 * _doubled_areas(verts, tris)
-    for t in np.nonzero(areas <= 0)[0]:
+    for t in np.flatnonzero(~(areas > 0)):
         v.append(f"triangle {t}: nonpositive signed area {areas[t]:.3e}")
 
     ends, tri, curve = mesh.boundary_table
@@ -310,95 +326,3 @@ def validate(mesh, geometry=None):
     if worst < MIN_ANGLE_DEG:
         v.append(f"minimum angle {worst:.2f} deg below {MIN_ANGLE_DEG} deg")
     return ValidationReport(v)
-
-
-def write_mesh(mesh):
-    """Serialize to the line-oriented text format (round-trip exact)."""
-    lines = ["pefem-mesh v1"]
-    lines.append(f"vertices {len(mesh.vertices)}")
-    lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices)
-    lines.append(f"triangles {len(mesh.triangles)}")
-    lines.extend(f"{a} {b} {c}" for a, b, c in mesh.triangles)
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    lines.extend(f"{v0} {v1} {t} {cid}" for v0, v1, t, cid in mesh.boundary_edges)
-    return "\n".join(lines) + "\n"
-
-
-def read_mesh(text):
-    """Parse the text format produced by write_mesh."""
-    numbered = [
-        (i + 1, line.split("#", 1)[0].strip())
-        for i, line in enumerate(text.splitlines())
-    ]
-    lines = [(n, s) for n, s in numbered if s]
-    if not lines:
-        raise MeshFormatError("empty mesh file")
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshFormatError("unexpected end of file", lines[-1][0])
-        n, s = lines[pos]
-        pos += 1
-        return n, s
-
-    n, header = take()
-    if header != "pefem-mesh v1":
-        raise MeshFormatError(f"bad header {header!r}", n)
-
-    def section(name):
-        n, s = take()
-        parts = s.split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshFormatError(f"expected section header '{name} N'", n)
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad count in section {name!r}", n)
-
-    nv = section("vertices")
-    verts = []
-    for _ in range(nv):
-        n, s = take()
-        parts = s.split()
-        if len(parts) != 2:
-            raise MeshFormatError("vertex line needs two coordinates", n)
-        try:
-            verts.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise MeshFormatError("bad vertex coordinate", n)
-
-    nt = section("triangles")
-    tris = []
-    for _ in range(nt):
-        n, s = take()
-        parts = s.split()
-        if len(parts) != 3:
-            raise MeshFormatError("triangle line needs three indices", n)
-        try:
-            tri = tuple(int(p) for p in parts)
-        except ValueError:
-            raise MeshFormatError("bad triangle index", n)
-        if not all(0 <= i < nv for i in tri):
-            raise MeshFormatError("triangle index out of range", n)
-        tris.append(tri)
-
-    nb = section("boundary_edges")
-    edges = []
-    for _ in range(nb):
-        n, s = take()
-        parts = s.split()
-        if len(parts) != 4:
-            raise MeshFormatError("boundary edge line needs 4 fields", n)
-        try:
-            v0, v1, tri = (int(p) for p in parts[:3])
-        except ValueError:
-            raise MeshFormatError("bad boundary edge field", n)
-        if not (0 <= v0 < nv and 0 <= v1 < nv and v0 != v1 and 0 <= tri < nt):
-            raise MeshFormatError("boundary edge index out of range or repeated", n)
-        edges.append((v0, v1, tri, parts[3]))
-
-    if pos != len(lines):
-        raise MeshFormatError("trailing content after sections", lines[pos][0])
-    return Mesh(np.array(verts), np.array(tris, dtype=int), edges)

@@ -1,12 +1,16 @@
 """Tests for the command-line runner and its output files."""
 
+import argparse
+import collections
 import logging
 
 import numpy as np
 import pytest
 
 from pefem.cli import (
+    _DOMAINS,
     ExperimentConfig,
+    build_parser,
     build_config,
     emit_outputs,
     gates_pass,
@@ -85,6 +89,35 @@ class TestConfig:
 
     def test_ellipse_defaults_to_the_cosine(self):
         assert ExperimentConfig(domain="ellipse").problem == "convex-cos"
+
+
+def _domain_choices(parser):
+    """The --domain choices of each subcommand."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a.choices for a in cmd._actions if "--domain" in a.option_strings]
+        for name, cmd in sub.choices.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "domain, edges",
+    [
+        ("disk", [{"circle": 16}, {"circle": 32}]),
+        ("square_hole", [{"hole": 16, "square": 16}, {"hole": 32, "square": 32}]),
+        ("ellipse", [{"ellipse": 32}, {"ellipse": 64}]),
+    ],
+)
+def test_domain_table(domain, edges):
+    mesh_for_level, make_geometry, problem = _DOMAINS[domain]
+    geometry = make_geometry()
+    for level, want in enumerate(edges):
+        curve_ids = collections.Counter(e[3] for e in mesh_for_level(level).boundary_edges)
+        assert curve_ids == want
+        assert set(curve_ids) == set(geometry.components)
+    assert ExperimentConfig(domain=domain).problem == problem
+    keys = tuple(_DOMAINS)
+    assert _domain_choices(build_parser()) == {"run": [keys], "patch": [keys]}
 
 
 class TestRunStudy:
@@ -227,30 +260,7 @@ class TestMainEntry:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_mesh_subcommand(self, tmp_path):
-        out = tmp_path / "mesh.txt"
-        code = main(["mesh", "--domain", "square_hole", "--level", "0", "--out", str(out)])
-        assert code == 0
-        from pefem.mesh import read_mesh
-
-        mesh = read_mesh(out.read_text())
-        assert len(mesh.triangles) == 64
-
-    @pytest.mark.parametrize("domain, level", [("disk", -1), ("disk", -3), ("square_hole", -1)])
-    def test_mesh_refuses_negative_level(self, domain, level, tmp_path, capsys):
-        out = tmp_path / "mesh.txt"
-        assert main(["mesh", "--domain", domain, "--level", str(level), "--out", str(out)]) == 2
-        assert f"error: level must be >= 0, got {level}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_ellipse_subcommands(self, tmp_path, capsys):
-        out = tmp_path / "ellipse.txt"
-        assert main(["mesh", "--domain", "ellipse", "--level", "0", "--out", str(out)]) == 0
-        from pefem.mesh import read_mesh
-
-        mesh = read_mesh(out.read_text())
-        assert len(mesh.boundary_edges) == 32
-        assert {e[3] for e in mesh.boundary_edges} == {"ellipse"}
+    def test_ellipse_subcommands(self, capsys):
         code = main(["patch", "--k", "3", "--method", "pefem-neumann", "--domain", "ellipse"])
         assert code == 0 and "PASS" in capsys.readouterr().out
         args = ["run", "--domain", "ellipse", "--method", "pefem-dirichlet-weak", "--levels", "3"]

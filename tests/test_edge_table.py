@@ -16,8 +16,6 @@ from pefem.mesh import (
     _orient_ccw,
     _tagged_mesh,
     generate_disk_mesh,
-    read_mesh,
-    write_mesh,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -148,12 +146,3 @@ def test_boundary_dofs_are_the_tagged_edges_dofs(mesh, k):
     for v0, v1, _tri, _cid in mesh.boundary_edges:
         want.update(space.edge_dofs(v0, v1))
     assert space.boundary_dofs.tolist() == sorted(want)
-
-
-@PROPERTY
-@given(meshes)
-def test_text_format_round_trip(mesh):
-    back = read_mesh(write_mesh(mesh))
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert back.boundary_edges == list(mesh.boundary_edges)

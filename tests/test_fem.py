@@ -234,6 +234,19 @@ class TestAffineMap:
         with pytest.raises(SingularElementError, match="element 3: clockwise"):
             FeSpace(Mesh(mesh.vertices, triangles, mesh.boundary_edges), 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vertex_names_element(self, value):
+        # Vertex 4 is the centre of generate_square_mesh(2); element 0 is
+        # the first triangle that holds it.
+        mesh = generate_square_mesh(2)
+        vertices = mesh.vertices.copy()
+        vertices[4, 0] = value
+        first = int(np.flatnonzero((mesh.triangles == 4).any(axis=1))[0])
+        with pytest.raises(SingularElementError, match=f"element {first}: non-finite"):
+            FeSpace(Mesh(vertices, mesh.triangles, mesh.boundary_edges), 1)
+        with pytest.raises(SingularElementError, match="element 0: non-finite"):
+            affine_map([[0, 0], [1, 0], [value, 1]])
+
 
 class TestFeSpace:
     def test_refuses_boundary_edge_off_its_triangle(self):

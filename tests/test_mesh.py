@@ -1,4 +1,8 @@
-"""Tests for mesh generation, validation, and the text format."""
+"""Tests for mesh generation and validation.
+
+`validate` is the guard on meshes built outside pefem, so it must report
+malformed input (bad indices, non-finite coordinates) rather than raise.
+"""
 
 import dataclasses
 import math
@@ -7,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-from pefem.errors import MeshFormatError
 from pefem.fem import FeSpace
 from pefem.geometry import (
     BoundaryComponent,
@@ -21,9 +24,7 @@ from pefem.mesh import (
     generate_disk_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
-    read_mesh,
     validate,
-    write_mesh,
 )
 
 
@@ -190,6 +191,20 @@ class TestValidate:
             assert f"boundary edge {i}: index out of range" in report.violations
         assert not any("boundary edge 0" in v or "boundary edge 2" in v for v in report.violations)
 
+    @pytest.mark.parametrize("index", [7, -1, 3])
+    def test_reports_out_of_range_triangle_vertex(self, index):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        report = validate(Mesh(verts, np.array([[0, 1, index]]), []))
+        assert report.violations == ["triangle 0: vertex index out of range"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_reports_non_finite_vertex(self, value):
+        mesh = generate_square_mesh(2)
+        verts = mesh.vertices.copy()
+        verts[4, 1] = value
+        report = validate(Mesh(verts, mesh.triangles, mesh.boundary_edges))
+        assert report.violations == ["vertex 4: non-finite coordinates"]
+
     def test_zero_length_boundary_edge(self):
         mesh = generate_square_mesh(2)
         edges = list(mesh.boundary_edges) + [(3, 3, 0, "square")]
@@ -222,69 +237,3 @@ class TestValidate:
 
 def test_mesh_holds_only_its_inputs():
     assert [f.name for f in dataclasses.fields(Mesh)] == ["vertices", "triangles", "boundary_edges"]
-
-
-class TestTextFormat:
-    def test_round_trip_exact(self):
-        mesh = generate_square_hole_mesh(1)
-        back = read_mesh(write_mesh(mesh))
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert list(back.boundary_edges) == list(mesh.boundary_edges)
-
-    def test_comments_and_blank_lines_ignored(self):
-        mesh = generate_square_mesh(1)
-        text = write_mesh(mesh)
-        noisy = "# a comment\n\n" + text.replace(
-            "pefem-mesh v1", "pefem-mesh v1  # header"
-        )
-        back = read_mesh(noisy)
-        assert np.array_equal(back.vertices, mesh.vertices)
-
-    def test_empty_file(self):
-        with pytest.raises(MeshFormatError):
-            read_mesh("")
-
-    def test_bad_header(self):
-        with pytest.raises(MeshFormatError) as err:
-            read_mesh("pefem-mesh v2\nvertices 0\ntriangles 0\nboundary_edges 0\n")
-        assert "bad header" in str(err.value)
-
-    def test_count_mismatch(self):
-        mesh = generate_square_mesh(1)
-        text = write_mesh(mesh).replace("vertices 4", "vertices 5")
-        with pytest.raises(MeshFormatError):
-            read_mesh(text)
-
-    def test_index_out_of_range(self):
-        text = (
-            "pefem-mesh v1\nvertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-            "triangles 1\n0 1 7\nboundary_edges 0\n"
-        )
-        with pytest.raises(MeshFormatError) as err:
-            read_mesh(text)
-        assert err.value.line == 7
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "0 9 1 square",
-            "-1 1 0 square",
-            "0 -1 0 square",
-            "2 2 0 square",
-            "0 1 2 square",
-            "0 1 -1 square",
-        ],
-    )
-    def test_boundary_edge_index_out_of_range(self, line):
-        # Four vertices and two triangles; the edge sits on line 11.
-        text = write_mesh(generate_square_mesh(1)).split("boundary_edges")[0]
-        with pytest.raises(MeshFormatError, match="boundary edge index out of range") as err:
-            read_mesh(text + f"boundary_edges 1\n{line}\n")
-        assert err.value.line == 11
-
-    def test_error_carries_line_number(self):
-        text = "pefem-mesh v1\nvertices 1\nnot-a-number 0.0\ntriangles 0\nboundary_edges 0\n"
-        with pytest.raises(MeshFormatError) as err:
-            read_mesh(text)
-        assert err.value.line == 3
