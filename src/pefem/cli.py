@@ -4,12 +4,11 @@ Subcommands:
   run    convergence study over a refinement family, CSV/markdown output
   patch  single polynomial-reproduction test
 
-Configuration is a line-oriented ``key=value`` file; command-line flags
-override file values.
+Each flag of ``run`` is one ExperimentConfig keyword; an unset flag keeps
+its default.
 """
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -19,8 +18,6 @@ from .analysis import PATCH_TOL, ConvergenceReport, LevelResult, error_norms, pa
 from .errors import ConfigurationError, PefemError
 from .fem import FeSpace
 from .forms import (
-    DEFAULT_C_THETA,
-    _check_c_theta,
     assemble_pefem_dirichlet,
     assemble_pefem_dirichlet_strong,
     assemble_pefem_neumann,
@@ -41,12 +38,6 @@ from .mesh import (
 )
 from .problems import polynomial_problem, preset_problem, random_polynomial
 
-METHODS = (
-    "pefem-dirichlet-weak",
-    "pefem-dirichlet-strong",
-    "pefem-neumann",
-    "standard",
-)
 # Each domain: its mesh at refinement level l, its geometry and its default
 # problem preset.  The lambdas look the generators up when called, so that
 # rebinding a module name (monkeypatch, perfbench's tracing) reaches them.
@@ -65,17 +56,22 @@ _DOMAINS = {
     ),
 }
 DOMAINS = tuple(_DOMAINS)
+# Each method: its assembler, looked up when called as the generators above
+# are, and the kind of boundary data it takes.
+_METHODS = {
+    "pefem-dirichlet-weak": (lambda *a: assemble_pefem_dirichlet(*a), "dirichlet"),
+    "pefem-dirichlet-strong": (lambda *a: assemble_pefem_dirichlet_strong(*a), "dirichlet"),
+    "pefem-neumann": (lambda *a: assemble_pefem_neumann(*a), "neumann"),
+    "standard": (lambda *a: assemble_standard_dirichlet(*a), "dirichlet"),
+}
 PROBLEMS = ("convex-cos", "nonconvex-rational", "patch-k")
 
 
 def _integer(key, value):
-    """An int, or a string of one, as an int; ConfigurationError naming
-    the key for anything else, so that 2.7 is not truncated to 2."""
-    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    """value as an int if it is an integer other than a bool; otherwise a
+    ConfigurationError naming the key, so that 2.7 is not truncated to 2."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
@@ -88,14 +84,13 @@ class ExperimentConfig:
         method="pefem-dirichlet-weak",
         k=2,
         levels=4,
-        c_theta=DEFAULT_C_THETA,
         problem=None,
         out=None,
         seed=0,
     ):
         if domain not in DOMAINS:
             raise ConfigurationError(f"unknown domain {domain!r}")
-        if method not in METHODS:
+        if method not in _METHODS:
             raise ConfigurationError(f"unknown method {method!r}")
         k = _integer("k", k)
         if not 1 <= k <= 4:
@@ -110,61 +105,14 @@ class ExperimentConfig:
         seed = _integer("seed", seed)
         if seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {seed}")
-        try:
-            c_theta = float(c_theta)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"c_theta must be a number, got {c_theta!r}") from None
-        _check_c_theta(c_theta)
         self.domain = domain
         self.method = method
+        self.bc_kind = _METHODS[method][1]
         self.k = k
         self.levels = levels
-        self.c_theta = c_theta
         self.problem = problem
         self.out = out
         self.seed = seed
-
-    @property
-    def bc_kind(self):
-        return "neumann" if self.method == "pefem-neumann" else "dirichlet"
-
-
-CONFIG_KEYS = tuple(inspect.signature(ExperimentConfig).parameters)
-
-
-def parse_config_file(path):
-    """Read a ``key=value`` file with ``#`` comments into a dict."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
-    return values
-
-
-def build_config(file_values, overrides):
-    merged = dict(file_values)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return ExperimentConfig(**merged)
-
-
-def _assembler(config):
-    if config.method == "pefem-dirichlet-weak":
-        return lambda s, p, g: assemble_pefem_dirichlet(s, p, g, c_theta=config.c_theta)
-    if config.method == "pefem-dirichlet-strong":
-        return assemble_pefem_dirichlet_strong
-    if config.method == "pefem-neumann":
-        return assemble_pefem_neumann
-    return assemble_standard_dirichlet
 
 
 def _preflight(problem, mesh, geometry):
@@ -186,7 +134,7 @@ def run_study(config):
     """
     mesh_for_level, make_geometry, _problem = _DOMAINS[config.domain]
     geometry = make_geometry()
-    assemble = _assembler(config)
+    assemble = _METHODS[config.method][0]
     rng = np.random.default_rng(config.seed)
     report = ConvergenceReport(method=config.method, degree=config.k)
     for level in range(config.levels):
@@ -273,33 +221,24 @@ def render_markdown(config, report):
 
 
 def emit_outputs(config, report, out_dir):
-    """Write results.csv, results.md, and log-log data files."""
+    """Write results.csv and results.md."""
     if not report.levels:
         raise ConfigurationError("refusing to write outputs for an empty report")
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "csv": os.path.join(out_dir, "results.csv"),
         "markdown": os.path.join(out_dir, "results.md"),
-        "loglog_l2": os.path.join(out_dir, "loglog_l2.dat"),
-        "loglog_h1": os.path.join(out_dir, "loglog_h1.dat"),
     }
     with open(paths["csv"], "w", encoding="utf-8") as fh:
         fh.write(render_csv(report))
     with open(paths["markdown"], "w", encoding="utf-8") as fh:
         fh.write(render_markdown(config, report))
-    with open(paths["loglog_l2"], "w", encoding="utf-8") as fh:
-        for lv in report.levels:
-            fh.write(f"{_fmt(lv.h)} {_fmt(lv.l2_error)}\n")
-    with open(paths["loglog_h1"], "w", encoding="utf-8") as fh:
-        for lv in report.levels:
-            fh.write(f"{_fmt(lv.h)} {_fmt(lv.h1_error)}\n")
     return paths
 
 
 def cmd_run(args):
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    config = build_config(file_values, overrides)
+    settings = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    config = ExperimentConfig(**settings)
     report = run_study(config)
     print(render_markdown(config, report))
     if config.out:
@@ -325,7 +264,7 @@ def cmd_patch(args):
     ok, h1 = patch_test(
         space,
         make_geometry(),
-        _assembler(config),
+        _METHODS[config.method][0],
         lambda poly: polynomial_problem(poly, config.bc_kind),
         np.random.default_rng(config.seed),
     )
@@ -340,21 +279,21 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pefem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a convergence study")
-    run.add_argument("--config", help="key=value configuration file")
+    # Unset run flags stay out of the namespace, so ExperimentConfig's
+    # defaults apply.
+    run = sub.add_parser("run", help="run a convergence study", argument_default=argparse.SUPPRESS)
     run.add_argument("--k", type=int, help="polynomial degree 1..4")
     run.add_argument("--levels", type=int, help="number of refinement levels")
-    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--method", choices=tuple(_METHODS))
     run.add_argument("--domain", choices=DOMAINS)
     run.add_argument("--out", help="output directory for CSV/markdown")
     run.add_argument("--problem", choices=PROBLEMS, help="problem preset")
     run.add_argument("--seed", type=int, help="rng seed for patch-k studies")
-    run.add_argument("--c-theta", dest="c_theta", type=float, help="constraint scaling constant")
     run.set_defaults(func=cmd_run)
 
     patch = sub.add_parser("patch", help="run a single patch test")
     patch.add_argument("--k", type=int, required=True)
-    patch.add_argument("--method", choices=METHODS, required=True)
+    patch.add_argument("--method", choices=tuple(_METHODS), required=True)
     patch.add_argument("--domain", choices=DOMAINS, required=True)
     patch.add_argument("--seed", type=int, default=0)
     patch.set_defaults(func=cmd_patch)

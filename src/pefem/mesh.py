@@ -31,6 +31,10 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: list
 
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=float)
+        self.triangles = np.asarray(self.triangles)
+
     @cached_property
     def h(self):
         """Largest triangle diameter (= longest edge)."""
@@ -266,8 +270,9 @@ def validate(mesh, geometry=None):
     and finite vertex coordinates (either failure ends the check), positive
     triangle areas, boundary edge indices in range (failure ends the check),
     boundary tags on exactly the single-triangle edges, each with its
-    triangle, closed boundary loops, boundary vertices on the true curve
-    (given a geometry), and no angle below MIN_ANGLE_DEG.
+    triangle, closed boundary loops, curve ids known to the geometry and
+    boundary vertices on the true curve (given a geometry), and no angle
+    below MIN_ANGLE_DEG.
     """
     v = []
     verts, tris = mesh.vertices, mesh.triangles
@@ -307,7 +312,8 @@ def validate(mesh, geometry=None):
         what = f"wrong adjacent triangle {tri[i]} != {first[i]}" if wrong[i] else what
         v.append(f"edge ({min(ends[i])},{max(ends[i])}): {what}")
 
-    for cid in curve[np.sort(np.unique(curve, return_index=True)[1])]:
+    components = curve[np.sort(np.unique(curve, return_index=True)[1])]
+    for cid in components:
         vids = ends[curve == cid].ravel()
         _ids, seen, degree = np.unique(vids, return_index=True, return_counts=True)
         bad = vids[np.sort(seen[degree != 2])].tolist()
@@ -315,9 +321,12 @@ def validate(mesh, geometry=None):
             v.append(f"component {cid!r}: open boundary loop at vertices {bad}")
 
     if geometry is not None:
+        unknown = [cid for cid in components if cid not in geometry.components]
+        v.extend(f"component {cid!r}: unknown to the geometry" for cid in unknown)
+        known = np.array([cid not in unknown for cid in curve], dtype=bool)
         level = lambda p, cid: geometry.component(cid).level_set(p[:, 0], p[:, 1])
-        vids, at = np.unique(ends, return_index=True)
-        cids = np.repeat(curve, 2)[at]
+        vids, at = np.unique(ends[known], return_index=True)
+        cids = np.repeat(curve[known], 2)[at]
         phi = _per_curve(level, verts[vids], cids)
         for i in np.flatnonzero(~(np.abs(phi) <= 1e-10)):
             v.append(f"vertex {vids[i]}: off true boundary {cids[i]!r} (phi = {phi[i]:.3e})")

@@ -197,6 +197,26 @@ class TestValidate:
         report = validate(Mesh(verts, np.array([[0, 1, index]]), []))
         assert report.violations == ["triangle 0: vertex index out of range"]
 
+    def test_reports_curve_id_unknown_to_the_geometry(self):
+        # The known components are still checked against the true curve.
+        mesh = generate_square_hole_mesh(0)
+        edges = [(*e[:3], "bogus" if e[3] == "hole" else e[3]) for e in mesh.boundary_edges]
+        report = validate(Mesh(mesh.vertices, mesh.triangles, edges), square_hole_geometry())
+        assert report.violations == ["component 'bogus': unknown to the geometry"]
+        disk = generate_disk_mesh(16)
+        edges = [(*e[:3], "bogus") for e in disk.boundary_edges]
+        verts = disk.vertices * 1.01
+        report = validate(Mesh(verts, disk.triangles, edges), disk_geometry())
+        assert report.violations == ["component 'bogus': unknown to the geometry"]
+
+    def test_accepts_nested_lists(self):
+        edges = [(0, 1, 0, "square"), (1, 2, 0, "square"), (2, 0, 0, "square")]
+        mesh = Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], edges)
+        assert mesh.vertices.dtype == np.float64
+        assert validate(mesh).ok
+        report = validate(Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 7]], []))
+        assert report.violations == ["triangle 0: vertex index out of range"]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_reports_non_finite_vertex(self, value):
         mesh = generate_square_mesh(2)
