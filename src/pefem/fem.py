@@ -198,9 +198,11 @@ class FeSpace:
       `boundary_normals` (E, 2).  A tagged edge that is not an edge of its
       adjacent triangle raises AssemblyError.
 
-    Dof order: mesh vertices first, then (k-1) dofs per mesh edge (oriented
-    from the lower- to the higher-numbered vertex), then the element-interior
-    ("bubble") dofs, (k-1)(k-2)/2 per element, element by element.
+    `cell_dofs` (n_elements, n_b) holds each element's global dofs, as
+    int32.  Dof order: mesh vertices first, then (k-1) dofs per mesh edge
+    (oriented from the lower- to the higher-numbered vertex), then the
+    element-interior ("bubble") dofs, (k-1)(k-2)/2 per element, element by
+    element.
 
     `boundary_dofs` are the dofs whose nodes lie on the polygonal boundary;
     `interior_dofs` are all the others (vertex, edge and bubble dofs off the
@@ -231,7 +233,9 @@ class FeSpace:
         pos = bary[inner, [[1], [2], [0]]]  # (3, k - 1)
 
         tris = mesh.triangles
-        cell_dofs = np.empty((nt, self.ref.n_basis), dtype=int)
+        # int32, scipy's sparse index type: the assemblers' index arrays
+        # are then neither twice as large nor converted by `coo_matrix`.
+        cell_dofs = np.empty((nt, self.ref.n_basis), dtype=np.int32)
         cell_dofs[:, np.argmax(bary == k, axis=0)] = tris
         # Edge dofs run from the edge's lower-numbered vertex.
         forward = (tris < np.roll(tris, -1, axis=1))[..., None]

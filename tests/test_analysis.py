@@ -103,15 +103,18 @@ class TestSolve:
         # Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
         # column) doubles the last column at each elimination step, so U
         # grows to 2^31 and the first solve misses the contract by far,
-        # though cond(W) is about n.  Its A + A^T is dense, so SuperLU's
-        # ordering depends on the pattern alone: A is W with that ordering
-        # undone, and the diagonal pivots meet the 0.1 threshold.
+        # though cond(W) is about n.  Its W + W^T is dense, so SuperLU's
+        # ordering depends on the pattern alone: P is W with that ordering
+        # undone, and the diagonal pivots meet the 0.1 threshold.  `_splu`
+        # factors the transpose of its argument, so A = P^T makes it
+        # factor P, that is W.
         n = 32
         W = np.eye(n) - np.tril(np.ones((n, n)), -1)
         W[:, -1] = 1.0
-        order = np.argsort(_splu(sparse.csr_matrix(W)).perm_c)
-        A = np.empty_like(W)
-        A[np.ix_(order, order)] = W
+        order = np.argsort(_splu(sparse.csr_matrix(W.T)).perm_c)
+        P = np.empty_like(W)
+        P[np.ix_(order, order)] = W
+        A = P.T
         assert np.abs(_splu(sparse.csr_matrix(A)).U.data).max() == 2.0 ** (n - 1)
         system = _system(A, A @ np.random.default_rng(1).standard_normal(n))
         x, records = _solve_records(caplog, system)

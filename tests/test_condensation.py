@@ -3,8 +3,8 @@
 `solve` factorizes the whole assembled matrix; the element-interior
 ("bubble") dofs are no longer condensed out first.  These tests check that
 factorization on real systems: the residual contract for every assembler
-at k = 3 and 4, its fill against SuperLU's defaults, and large weak
-penalties.
+at k = 3 and 4, its fill against SuperLU's defaults, that SuperLU reads
+the assembled arrays without a copy, and large weak penalties.
 """
 
 import logging
@@ -72,17 +72,38 @@ def test_assembled_systems_meet_the_contract_on_perturbed_meshes(mesh, k, assemb
 @pytest.mark.parametrize(
     "make_mesh, make_geometry, make_problem, k, ratio",
     [
-        # 197,780 entries in L + U against 305,038 with scipy's defaults.
-        (lambda: generate_disk_mesh(64), disk_geometry, cosine_problem, 2, 0.75),
+        # 169,572 entries in L + U against 305,038 with scipy's defaults;
+        # relaxed supernodes of up to 3 columns would be padded to 197,780.
+        (lambda: generate_disk_mesh(64), disk_geometry, cosine_problem, 2, 0.6),
         # 105,418 against 175,122; relaxed supernodes of 4 or 10 columns
         # (SuperLU's default) would be padded to 105,664 or 112,900.
         (lambda: generate_square_hole_mesh(1), square_hole_geometry, rational_problem, 4, 0.62),
+        # 246,242 against 507,778; relaxed supernodes of up to 3 columns
+        # would be padded to 555,868, more than the default stores.
+        (lambda: generate_square_hole_mesh(2), square_hole_geometry, rational_problem, 3, 0.55),
     ],
-    ids=["disk64-k2", "hole1-k4"],
+    ids=["disk64-k2", "hole1-k4", "hole2-k3"],
 )
 def test_factorization_fills_less_than_scipy_default(make_mesh, make_geometry, make_problem, k, ratio):
     system = _assemble(make_mesh(), make_geometry(), make_problem, k, "neumann")
     assert _splu(system.A).nnz <= ratio * spla.splu(system.A.tocsc()).nnz
+
+
+def test_superlu_reads_the_assembled_arrays(monkeypatch):
+    # `solve` hands SuperLU the CSC view A.T of the CSR matrix, not a copy.
+    system = _assemble(generate_disk_mesh(16), disk_geometry(), cosine_problem, 3, "neumann")
+    factor, seen = spla.splu, []
+
+    def spy(M, **options):
+        seen.append(M)
+        return factor(M, **options)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    _check_contract(system)
+    [M] = seen
+    assert M.format == "csc"
+    assert np.shares_memory(M.data, system.A.data)
+    assert np.shares_memory(M.indices, system.A.indices)
 
 
 def test_large_weak_penalty_needs_no_refinement(caplog):
