@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ConfigurationError
+from .errors import AssemblyError, ConfigurationError
 from .fem import _eval_field, assemble_load, assemble_operator, eval_basis
 from .geometry import _per_curve
 
@@ -78,41 +78,63 @@ class LinearSystem:
     """Assembled sparse system A x = F.
 
     The matrix is nonsymmetric in general: constraint rows couple a
-    boundary test function to every dof of the adjacent element.
+    boundary test function to every dof of the adjacent element.  Every
+    assembler stores it in the CSR pattern of `assemble_operator`, with
+    explicit zeros where an entry is zero.
     """
 
     A: sparse.csr_matrix
     F: np.ndarray
 
 
-def _sparse_rows(space, rows, cols, values):
-    """Sparse n_dofs-square matrix with values[r, i, j] at (rows[r, i],
-    cols[r, j]): rows (R, a), cols (R, b), values (R, a, b)."""
-    n_rows, n_cols = values.shape[1:]
-    row = np.repeat(rows, n_cols, axis=1).ravel()
-    col = np.tile(cols, (1, n_rows)).ravel()
-    return sparse.coo_matrix((values.ravel(), (row, col)), shape=(space.n_dofs, space.n_dofs))
+def _block_positions(rows, cols, blocks):
+    """The row and column of each entry of blocks.ravel(), for blocks
+    (R, a, b) at rows (R, a) and columns (R, b); the rows as int64, so
+    keys row * n + col do not wrap."""
+    n_rows, n_cols = blocks.shape[1:]
+    row = np.repeat(rows, n_cols, axis=1).ravel().astype(np.int64)
+    return row, np.tile(cols, (1, n_rows)).ravel()
+
+
+def _add_blocks(A, rows, cols, blocks):
+    """Add blocks[r, i, j] to A's stored entry (rows[r, i], cols[r, j]) in
+    place: rows (R, a), cols (R, b), blocks (R, a, b).  The block entries
+    at one position are summed first and their sum then added, as in the
+    sparse sum of A and a matrix of the blocks.  A is canonical, so the
+    keys row * n + col of the entries stored in the block rows are sorted;
+    an entry that A does not store raises AssemblyError."""
+    n = A.shape[1]
+    row, col = _block_positions(rows, cols, blocks)
+    want = row * n + col
+    in_rows = np.zeros(A.shape[0], dtype=bool)
+    in_rows[rows] = True
+    lengths = np.diff(A.indptr)
+    stored = np.flatnonzero(np.repeat(in_rows, lengths))
+    keys = np.repeat(np.flatnonzero(in_rows) * np.int64(n), lengths[in_rows]) + A.indices[stored]
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    missing = keys[at] != want
+    if np.any(missing):
+        row, col = divmod(int(want[np.argmax(missing)]), n)
+        raise AssemblyError(f"entry ({row}, {col}) lies outside the element-connectivity pattern")
+    A.data[stored] += np.bincount(at, weights=blocks.ravel(), minlength=len(stored))
 
 
 def _replace_rows(space, problem, rows, constraint, rhs):
     """The system of the operator and load of `problem` with the rows
     `rows` swapped for constraint rows.
 
-    `constraint` (COO) is zero outside `rows`; `rhs` holds the new
-    right-hand side, one entry per row in `rows`.  Each row of the result
-    is the operator's CSR row or the constraint's, taken by one gather.
+    `constraint` holds the (rows, cols, blocks) of `_add_blocks`, with
+    block rows in `rows` only; `rhs` holds the new right-hand side, one
+    entry per row in `rows`.  The operator's entries in those rows are
+    zeroed and the constraint added in place, so the operator's pattern
+    stays.
     """
-    K = assemble_operator(space, p=problem.p, q=problem.q)
-    C = constraint.tocsr()
+    A = assemble_operator(space, p=problem.p, q=problem.q)
+    replaced = np.zeros(space.n_dofs, dtype=bool)
+    replaced[rows] = True
+    A.data[np.repeat(replaced, np.diff(A.indptr))] = 0.0
+    _add_blocks(A, *constraint)
     F = assemble_load(space, problem.f)
-    replaced = np.isin(np.arange(K.shape[0]), rows)
-    lengths = np.where(replaced, np.diff(C.indptr), np.diff(K.indptr))
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    starts = np.where(replaced, K.nnz + C.indptr[:-1], K.indptr[:-1])
-    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-    data = np.concatenate([K.data, C.data])[take]
-    indices = np.concatenate([K.indices, C.indices])[take]
-    A = sparse.csr_matrix((data, indices, indptr), shape=K.shape)
     F[rows] = rhs
     return LinearSystem(A, F)
 
@@ -171,7 +193,7 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
     rhs = _edge_load(space, theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
     rows = space.boundary_dofs
-    constraint = _sparse_rows(space, space.boundary_edge_dofs, space.cell_dofs[tri], block)
+    constraint = (space.boundary_edge_dofs, space.cell_dofs[tri], block)
     return _replace_rows(space, problem, rows, constraint, rhs[rows])
 
 
@@ -183,15 +205,16 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     # Each boundary dof is constrained through one adjacent boundary edge.
     dofs, tri, curve, eta = _boundary_nodes(space, geometry)
     vals, _ = eval_basis(space, tri, eta[:, None, :])
-    constraint = _sparse_rows(space, dofs[:, None], space.cell_dofs[tri], vals)
+    constraint = (dofs[:, None], space.cell_dofs[tri], vals)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
     return _replace_rows(space, problem, dofs, constraint, g_vals)
 
 
 def _flux_correction(space, problem, geometry):
-    """The Neumann correction tau (COO), from per-edge blocks with the
-    exact normals at eta and the test traces at x.  Also returns eta, the
-    exact normals there, the weights and the test traces."""
+    """The Neumann correction tau as the (rows, cols, blocks) of
+    `_add_blocks`, from per-edge blocks with the exact normals at eta and
+    the test traces at x.  Also returns eta, the exact normals there, the
+    weights and the test traces."""
     x, eta, weights, test, grads_x = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve
     _vals_eta, grads_eta = eval_basis(space, tri, eta)
@@ -204,7 +227,7 @@ def _flux_correction(space, problem, geometry):
     flux_ext = p_eta[..., None] * np.einsum("eqjd,eqd->eqj", grads_eta, n_true)
     flux_std = p_x[..., None] * np.einsum("eqjd,ed->eqj", grads_x, n_h)
     block = np.einsum("eq,eqi,eqj->eij", weights, test, flux_ext - flux_std)
-    tau = _sparse_rows(space, space.boundary_edge_dofs, space.cell_dofs[tri], block)
+    tau = (space.boundary_edge_dofs, space.cell_dofs[tri], block)
     return tau, eta, n_true, weights, test
 
 
@@ -225,14 +248,18 @@ def assemble_pefem_neumann(space, problem, geometry):
     )
 
     A = assemble_operator(space, p=problem.p, q=problem.q)
+    _add_blocks(A, *tau)
     F = assemble_load(space, problem.f)
     F += _edge_load(space, np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    return LinearSystem((A + tau).tocsr(), F)
+    return LinearSystem(A, F)
 
 
 def assemble_tau_neumann(space, problem, geometry):
     """The boundary flux-correction matrix alone (diagnostic)."""
-    return _flux_correction(space, problem, geometry)[0].tocsr()
+    rows, cols, blocks = _flux_correction(space, problem, geometry)[0]
+    row, col = _block_positions(rows, cols, blocks)
+    shape = (space.n_dofs, space.n_dofs)
+    return sparse.coo_matrix((blocks.ravel(), (row, col)), shape=shape).tocsr()
 
 
 def assemble_standard_dirichlet(space, problem, geometry=None):
@@ -250,7 +277,6 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
         raise ConfigurationError("the baseline needs the exact solution")
     datum = problem.g_D if problem.g_D is not None else problem.exact_u
     dofs, tri, curve, xi = _boundary_nodes(space, geometry)
-    ones = np.ones((len(dofs), 1, 1))
-    identity = _sparse_rows(space, dofs[:, None], dofs[:, None], ones)
+    identity = (dofs[:, None], dofs[:, None], np.ones((len(dofs), 1, 1)))
     g_vals = _eval_field(datum, xi, "Dirichlet datum", elements=tri, curves=curve)
     return _replace_rows(space, problem, dofs, identity, g_vals)

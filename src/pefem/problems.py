@@ -7,17 +7,22 @@ from the exact solution, so errors measure only the discretization.
 import numpy as np
 
 from .errors import ConfigurationError
+from .fem import monomial_sum
 from .forms import ProblemSpec, _one
 
 
 class Poly2D:
-    """Bivariate polynomial sum c[i, j] x^i y^j with analytic derivatives."""
+    """Bivariate polynomial sum c[i, j] x^i y^j with analytic derivatives.
+
+    Trailing axes of c hold several polynomials, which a call evaluates
+    together (see `fem.monomial_sum`); the derivatives and sums take 2-D c.
+    """
 
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
 
     def __call__(self, x, y):
-        return np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
+        return monomial_sum(x, y, self.coeffs)
 
     def dx(self):
         c = self.coeffs
@@ -36,12 +41,15 @@ class Poly2D:
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
-        rows = max(a.shape[0], b.shape[0])
-        cols = max(a.shape[1], b.shape[1])
-        out = np.zeros((rows, cols))
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return Poly2D(out)
+        shape = np.maximum(a.shape, b.shape)
+        return Poly2D(_padded(a, shape) + _padded(b, shape))
+
+
+def _padded(coeffs, shape):
+    """2-D coefficients zero-padded to `shape`."""
+    out = np.zeros(shape)
+    out[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
+    return out
 
 
 def random_polynomial(degree, rng):
@@ -94,15 +102,18 @@ def rational_problem(bc_kind):
 
 
 def polynomial_problem(poly, bc_kind):
-    """ProblemSpec for a polynomial exact solution with p = q = 1."""
-    px, py = poly.dx(), poly.dy()
-    lap = poly.laplacian()
+    """ProblemSpec for a polynomial exact solution with p = q = 1.  The
+    source is one Poly2D and the gradient one Poly2D with a trailing axis
+    (d/dx, d/dy), so each is a single evaluation."""
+    shape = poly.coeffs.shape
+    grad = Poly2D(np.stack([_padded(poly.dx().coeffs, shape), _padded(poly.dy().coeffs, shape)], -1))
+    minus_lap = Poly2D(-poly.laplacian().coeffs)
     return _problem(
         bc_kind,
         poly,
-        lambda x, y: (px(x, y), py(x, y)),
-        f_dirichlet=lambda x, y: -lap(x, y),
-        f_neumann=lambda x, y: -lap(x, y) + poly(x, y),
+        lambda x, y: np.moveaxis(grad(x, y), -1, 0),
+        f_dirichlet=minus_lap,
+        f_neumann=minus_lap + poly,
     )
 
 

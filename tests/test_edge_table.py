@@ -129,6 +129,7 @@ def test_boundary_and_interior_dofs_partition(mesh, k):
     space = FeSpace(mesh, k)
     both = np.concatenate([space.boundary_dofs, space.interior_dofs])
     assert np.array_equal(np.sort(both), np.arange(space.n_dofs))
+    assert np.array_equal(space.interior_dofs, np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs))
     # The boundary dofs are the vertices and edge dofs of single-triangle edges.
     nv = len(mesh.vertices)
     want = set()

@@ -18,6 +18,7 @@ from pefem.fem import (
     assemble_load,
     assemble_operator,
     eval_fe,
+    monomial_sum,
     reference_element,
     segment_quadrature,
     triangle_quadrature,
@@ -29,6 +30,7 @@ from pefem.mesh import (
     generate_square_hole_mesh,
     generate_square_mesh,
 )
+from pefem.problems import Poly2D
 
 
 THREE_DOMAINS = pytest.mark.parametrize(
@@ -82,6 +84,63 @@ class TestReferenceElement:
     def test_rejects_unsupported_degree(self):
         with pytest.raises(ValueError):
             reference_element(5).eval([[0.0, 0.0]])
+
+
+class TestMonomialSum:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (5, 5), (4, 2)])
+    def test_matches_polyval2d(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        coeffs = rng.uniform(-1.0, 1.0, size=shape)
+        x, y = rng.uniform(-2.0, 2.0, size=(2, 50))
+        want = np.polynomial.polynomial.polyval2d(x, y, coeffs)
+        scale = np.polynomial.polynomial.polyval2d(np.abs(x), np.abs(y), np.abs(coeffs))
+        assert np.all(np.abs(monomial_sum(x, y, coeffs) - want) <= 1e-15 * scale)
+
+    # Fewer polynomials than powers of y, then more: both contraction orders.
+    @pytest.mark.parametrize("shape", [(5, 5, 2), (4, 3, 2, 5)])
+    def test_trailing_axes_are_separate_polynomials(self, shape):
+        rng = np.random.default_rng(3)
+        coeffs = rng.uniform(-1.0, 1.0, size=shape)
+        x, y = rng.uniform(-1.0, 1.0, size=(2, 6, 7))
+        got = monomial_sum(x, y, coeffs)
+        assert got.shape == (6, 7) + shape[2:]
+        for i in np.ndindex(shape[2:]):
+            want = np.polynomial.polynomial.polyval2d(x, y, coeffs[(..., *i)])
+            assert np.abs(got[(..., *i)] - want).max() <= 1e-14
+
+    def test_broadcasts_the_points(self):
+        coeffs = np.arange(9.0).reshape(3, 3)
+        x, y = np.linspace(-1.0, 1.0, 4)[:, None], np.linspace(0.0, 2.0, 5)
+        got = monomial_sum(x, y, coeffs)
+        assert got.shape == (4, 5)
+        want = np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x, y), coeffs)
+        assert np.abs(got - want).max() <= 1e-13
+        assert monomial_sum(np.zeros((0, 3)), 1.0, np.ones((2, 2, 2))).shape == (0, 3, 2)
+
+    def test_zero_dimensional_points(self):
+        coeffs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        got = monomial_sum(-0.5, -0.5, coeffs)
+        assert np.ndim(got) == 0
+        assert got == np.polynomial.polynomial.polyval2d(-0.5, -0.5, coeffs) == -0.5
+        assert monomial_sum(2.0, 1.0, np.ones((2, 2, 3))).shape == (3,)
+        assert Poly2D(coeffs)(-0.5, -0.5) == -0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reference_element_matches_vandermonde_form(self, k):
+        # The basis as the Vandermonde solve of the monomials x^a y^b,
+        # a + b <= k, with values and gradients from their columns.
+        ref = reference_element(k)
+        exps = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
+        mono = lambda pts, da, db: np.column_stack([
+            math.perm(a, da) * math.perm(b, db) * pts[:, 0] ** max(a - da, 0) * pts[:, 1] ** max(b - db, 0)
+            for a, b in exps
+        ])
+        coeffs = np.linalg.solve(mono(ref.nodes, 0, 0), np.eye(ref.n_basis))
+        pts = np.random.default_rng(k).uniform(-1.0, 2.0, size=(30, 2))
+        vals, grads = ref.eval(pts)
+        assert np.abs(vals - mono(pts, 0, 0) @ coeffs).max() <= 1e-11
+        assert np.abs(grads[..., 0] - mono(pts, 1, 0) @ coeffs).max() <= 1e-10
+        assert np.abs(grads[..., 1] - mono(pts, 0, 1) @ coeffs).max() <= 1e-10
 
 
 def _free_parameters(orbit):

@@ -21,10 +21,11 @@ from pefem.forms import (
     assemble_tau_neumann,
     verify_problem_consistency,
 )
-from pefem.geometry import disk_geometry, square_geometry, square_hole_geometry
+from pefem.geometry import disk_geometry, ellipse_geometry, square_geometry, square_hole_geometry
 from pefem.mesh import (
     Mesh,
     generate_disk_mesh,
+    generate_ellipse_mesh,
     generate_square_hole_mesh,
     generate_square_mesh,
 )
@@ -311,12 +312,14 @@ def test_weak_solution_does_not_depend_on_c_theta(mesh, k, e):
 
 def _coo_replace_rows(space, problem, rows, constraint, rhs):
     """Reference for `forms._replace_rows`: the kept operator entries and
-    the constraint, summed by one COO-to-CSR conversion."""
+    the constraint blocks, summed by one COO-to-CSR conversion."""
     K = assemble_operator(space, p=problem.p, q=problem.q).tocoo()
     keep = ~np.isin(K.row, rows)
-    row = np.concatenate([K.row[keep], constraint.row])
-    col = np.concatenate([K.col[keep], constraint.col])
-    data = np.concatenate([K.data[keep], constraint.data])
+    block_rows, block_cols, blocks = constraint
+    n_rows, n_cols = blocks.shape[1:]
+    row = np.concatenate([K.row[keep], np.repeat(block_rows, n_cols, axis=1).ravel()])
+    col = np.concatenate([K.col[keep], np.tile(block_cols, (1, n_rows)).ravel()])
+    data = np.concatenate([K.data[keep], blocks.ravel()])
     F = assemble_load(space, problem.f)
     F[rows] = rhs
     A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
@@ -338,17 +341,78 @@ def _coo_replace_rows(space, problem, rows, constraint, rhs):
     ids=["weak", "strong", "standard"],
 )
 def test_replaced_rows_match_coo_reference_bit_for_bit(assemble, case, monkeypatch):
-    # The right-angled P1 elements of the square leave explicit zeros in
-    # the operator, which both constructions must keep.
+    # Every entry of the COO construction is stored, bit for bit; the
+    # other stored entries are replaced rows' operator entries, now
+    # explicit zeros.  The right-angled P1 elements of the square leave
+    # explicit zeros in the operator, which both constructions keep.
     mesh, geo, k = case()
     space = FeSpace(mesh, k)
     problem = cosine_problem("dirichlet")
     got = assemble(space, problem, geo)
     monkeypatch.setattr(forms, "_replace_rows", _coo_replace_rows)
     want = assemble(space, problem, geo)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.A, name), getattr(want.A, name))
+    got_A, want_A = got.A.tocoo(), want.A.tocoo()
+    key = lambda m: m.row.astype(np.int64) * space.n_dofs + m.col
+    at = np.minimum(np.searchsorted(key(got_A), key(want_A)), got_A.nnz - 1)
+    assert np.array_equal(key(got_A)[at], key(want_A))
+    assert np.array_equal(got_A.data[at], want_A.data)
+    rest = np.ones(got_A.nnz, dtype=bool)
+    rest[at] = False
+    assert np.all(got_A.data[rest] == 0.0)
+    assert np.all(np.isin(got_A.row[rest], space.boundary_dofs))
     assert np.array_equal(got.F, want.F)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (generate_disk_mesh(16), disk_geometry()),
+        lambda: (generate_square_hole_mesh(1), square_hole_geometry()),
+        lambda: (generate_ellipse_mesh(32), ellipse_geometry()),
+    ],
+    ids=["disk", "hole", "ellipse"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_every_system_stores_the_operator_pattern(case, k):
+    # So the pattern SuperLU sees does not move with rounding: entries
+    # that cancel exactly stay stored as zeros.
+    mesh, geo = case()
+    space = FeSpace(mesh, k)
+    K = assemble_operator(space)
+    assert K.data.base is None and K.indices.base is None
+    dirichlet, neumann = cosine_problem("dirichlet"), cosine_problem("neumann")
+    matrices = [
+        assemble_pefem_dirichlet(space, dirichlet, geo).A,
+        assemble_pefem_dirichlet_strong(space, dirichlet, geo).A,
+        assemble_standard_dirichlet(space, dirichlet, geo).A,
+        assemble_pefem_neumann(space, neumann, geo).A,
+    ]
+    for A in matrices:
+        assert np.array_equal(A.indptr, K.indptr)
+        assert np.array_equal(A.indices, K.indices)
+
+
+def test_entry_outside_the_pattern_is_refused():
+    space = FeSpace(generate_disk_mesh(16), 1)
+    K = assemble_operator(space)
+    far = np.setdiff1d(np.arange(space.n_dofs), K.indices[K.indptr[5] : K.indptr[6]])[-1]
+    with pytest.raises(AssemblyError, match=f"entry \\(5, {far}\\) lies outside"):
+        forms._add_blocks(K, np.array([[5]]), np.array([[far]]), np.ones((1, 1, 1)))
+
+
+def test_block_keys_do_not_wrap_past_int32():
+    # With n = 100,000 the keys row * n + col pass 2^31 (and 2^32), which
+    # int32 rows would wrap onto other entries' keys.
+    n = 100_000
+    rows, cols = np.array([3, 99_998, 99_999, 99_999]), np.array([3, 99_999, 99_998, 99_999])
+    A = sparse.csr_matrix((np.ones(4), (rows, cols)), shape=(n, n))
+    block_rows = np.array([[99_999, 99_998]], dtype=np.int32)
+    block_cols = np.array([[99_999]], dtype=np.int32)
+    forms._add_blocks(A, block_rows, block_cols, np.array([[[2.0], [3.0]]]))
+    assert A[99_999, 99_999] == 3.0 and A[99_998, 99_999] == 4.0
+    assert A[3, 3] == 1.0 and A[99_999, 99_998] == 1.0
+    with pytest.raises(AssemblyError, match="entry \\(99999, 3\\) lies outside"):
+        forms._add_blocks(A, block_rows[:, :1], np.array([[3]], dtype=np.int32), np.ones((1, 1, 1)))
 
 
 class TestBoundaryErrors:
