@@ -39,7 +39,14 @@ def solve(system):
     pefem matrices.  It relaxes no supernodes, since relaxed ones are
     padded with explicit zeros: on the ellipse at n = 128, k = 2, strong
     Dirichlet, supernodes of up to 3 columns store 1,256,279 entries in
-    L + U, against 922,475 without.  The solution is then refined with the
+    L + U, against 922,475 without.  It factorizes one column at a time
+    (`panel_size=1`; scipy's default is 20): SuperLU updates panels of w
+    consecutive columns through dense work arrays of n x w entries, and
+    with w = 1 it pivots on the same rows and stores the same entries,
+    while on the disk at n = 128, k = 4, Neumann, its peak memory above
+    the matrix falls from 65.4 to 51.0 MB and its time by 9%.
+    The factors differ from w = 20 in rounding only, since the updates
+    are summed in another order.  The solution is then refined with the
     same factorization until the relative residual ||F - A x|| / ||F|| is
     at most 1e-12.  Refinement stops, as LAPACK's xGERFS does, once a step
     fails to halve the residual, or after 10 steps; SolverError then
@@ -48,7 +55,9 @@ def solve(system):
     arithmetic where its rounding error bound still proves the contract,
     and by `compensated_residual` otherwise.  Each call logs one DEBUG
     record with the size, nnz(L+U), the refinement steps and the
-    residuals.
+    residuals; the record also carries them as the attributes `dofs`,
+    `nnz_a` (stored entries of A), `nnz_lu`, `refinement_steps` and
+    `residuals` (the relative residual history, floats).
     """
     A = system.A.tocsr()
     F = np.asarray(system.F, dtype=float)
@@ -66,7 +75,13 @@ def solve(system):
         if history[-1] <= RESIDUAL_TOL or (step and not history[-1] < 0.5 * history[-2]):
             break
     diagnostics = (A.shape[0], lu.nnz, step, ", ".join(f"{h:.3e}" for h in history))
-    log.debug("solve: " + _DIAGNOSTICS, *diagnostics)
+    log.debug(
+        "solve: " + _DIAGNOSTICS,
+        *diagnostics,
+        extra=dict(
+            dofs=A.shape[0], nnz_a=A.nnz, nnz_lu=lu.nnz, refinement_steps=step, residuals=history
+        ),
+    )
     if history[-1] > RESIDUAL_TOL:
         raise SolverError(
             f"relative residual {history[-1]:.3e} exceeds 1e-12: " + _DIAGNOSTICS % diagnostics
@@ -104,13 +119,16 @@ def _residual(A, x, F, limit):
 def _splu(A):
     """The one SuperLU factorization, of A^T for a CSR matrix A: SuperLU
     reads the CSC view `A.T` in place, and `lu.solve(b, trans="T")`
-    solves A x = b.  `solve` explains the settings."""
+    solves A x = b.  `solve` explains the settings, among them the
+    single-column panels (`panel_size=1`) that keep SuperLU's dense work
+    arrays at one column of n entries."""
     try:
         return spla.splu(
             A.T,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.1,
             relax=1,
+            panel_size=1,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:
@@ -145,17 +163,17 @@ def compensated_residual(A, x, F):
     m = int(lengths.max(initial=0)).bit_length()
     cuts = np.searchsorted(indptr, np.arange(_RESIDUAL_BLOCK, indptr[-1], _RESIDUAL_BLOCK))
     bounds = np.unique(np.concatenate([[0], cuts, [n]]))
-    x1, x2 = _split(x)
     r = np.array(F, dtype=float)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         lo, hi = indptr[r0], indptr[r1]
         if hi == lo:
             continue
         a, cols = A.data[lo:hi], A.indices[lo:hi]
-        p = a * x[cols]
+        xc = x[cols]
+        p = a * xc
         a1, a2 = _split(a)
-        x1c, x2c = x1[cols], x2[cols]
-        e = a2 * x2c - (((p - a1 * x1c) - a2 * x1c) - a1 * x2c)
+        x1, x2 = _split(xc)
+        e = a2 * x2 - (((p - a1 * x1) - a2 * x1) - a1 * x2)
         rows = np.flatnonzero(lengths[r0:r1]) + r0
         starts = indptr[rows] - lo
         sigma = np.ldexp(1.0, np.frexp(np.maximum.reduceat(np.abs(p), starts))[1] + m)

@@ -126,8 +126,10 @@ class BoundaryGeometry:
         iteration over all the points at once (see `_newton_project`),
         which logs one DEBUG record: the curve id, the number of points,
         the iterations of the slowest point, the worst |phi| and the worst
-        |eta - xi|.  ProjectionError names the first point whose result is
-        off the curve (|phi| above 1e-12, or NaN).
+        |eta - xi|, also as the record's attributes `curve_id`, `points`,
+        `iterations`, `max_phi` and `max_moved`.  ProjectionError names the
+        first point whose result is off the curve (|phi| above 1e-12, or
+        NaN).
         """
         comp = self.component(curve_id)
         pts = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -145,16 +147,24 @@ class BoundaryGeometry:
                 f"projected point {tuple(out[bad].tolist())} is off the boundary "
                 f"(|phi| = {phi[bad]:.3e})",
             )
-        if comp.project is None:
-            moved = np.hypot(*(out - pts).T)
+        if comp.project is None and log.isEnabledFor(logging.DEBUG):
+            max_phi = float(np.max(phi, initial=0.0))
+            max_moved = float(np.max(np.hypot(*(out - pts).T), initial=0.0))
             log.debug(
                 "newton: component %r, %d points, %d iterations, max |phi| %.3e, "
                 "max |eta - xi| %.3e",
                 curve_id,
                 len(pts),
                 iterations,
-                np.max(phi, initial=0.0),
-                np.max(moved, initial=0.0),
+                max_phi,
+                max_moved,
+                extra=dict(
+                    curve_id=curve_id,
+                    points=len(pts),
+                    iterations=iterations,
+                    max_phi=max_phi,
+                    max_moved=max_moved,
+                ),
             )
         return out[0] if np.asarray(xi).ndim == 1 else out
 

@@ -136,6 +136,12 @@ class TestSolve:
         assert len(residuals.split(", ")) == steps + 1
         assert float(residuals.split(", ")[-1]) <= 1e-12
         assert f"{n} dofs, nnz(L+U) {lu_nnz}, {steps} refinement steps" in record.getMessage()
+        # The same numbers as structured fields, the history as floats.
+        assert (record.dofs, record.nnz_a, record.nnz_lu) == (4, 16, 20)
+        assert record.refinement_steps == steps
+        assert len(record.residuals) == steps + 1
+        assert all(type(h) is float for h in record.residuals)
+        assert residuals == ", ".join(f"{h:.3e}" for h in record.residuals)
 
     def test_solver_error_carries_sizes_and_history(self, caplog):
         m = 10

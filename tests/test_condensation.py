@@ -90,20 +90,28 @@ def test_factorization_fills_less_than_scipy_default(make_mesh, make_geometry, m
 
 
 def test_superlu_reads_the_assembled_arrays(monkeypatch):
-    # `solve` hands SuperLU the CSC view A.T of the CSR matrix, not a copy.
+    # `solve` hands SuperLU the CSC view A.T of the CSR matrix, not a copy,
+    # with the settings `solve` documents.
     system = _assemble(generate_disk_mesh(16), disk_geometry(), cosine_problem, 3, "neumann")
     factor, seen = spla.splu, []
 
     def spy(M, **options):
-        seen.append(M)
+        seen.append((M, options))
         return factor(M, **options)
 
     monkeypatch.setattr(spla, "splu", spy)
     _check_contract(system)
-    [M] = seen
+    [(M, options)] = seen
     assert M.format == "csc"
     assert np.shares_memory(M.data, system.A.data)
     assert np.shares_memory(M.indices, system.A.indices)
+    assert options == dict(
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.1,
+        relax=1,
+        panel_size=1,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def test_large_weak_penalty_needs_no_refinement(caplog):

@@ -220,6 +220,9 @@ class TestNewtonProjection:
         level_set = geo.component("ellipse").level_set
         assert phi == np.abs(level_set(eta[:, 0], eta[:, 1])).max() <= 1e-12
         assert moved == pytest.approx(np.linalg.norm(eta - pts, axis=1).max(), rel=1e-15)
+        # The same numbers as structured fields.
+        fields = ("curve_id", "points", "iterations", "max_phi", "max_moved")
+        assert tuple(getattr(records[0], f) for f in fields) == records[0].args
         # Points already on the curve stop after one zero step.
         with caplog.at_level(logging.DEBUG, logger="pefem.geometry"):
             geo.closest_point(np.array([[1.0, 0.0], [-1.0, 0.0]]), "ellipse")
