@@ -30,7 +30,9 @@ class TestEllipseMesh:
         assert [e[:3] for e in mesh.boundary_edges] == [e[:3] for e in disk.boundary_edges]
         assert {e[3] for e in mesh.boundary_edges} == {"ellipse"}
 
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    # From 32 to 300, n = 51 and 70 have the smallest angles, 20.81 and
+    # 21.04 deg.
+    @pytest.mark.parametrize("n", [32, 51, 64, 70, 128])
     def test_validates_from_32_on(self, n):
         assert validate(generate_ellipse_mesh(n), GEO).violations == []
 

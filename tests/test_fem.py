@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -441,21 +442,23 @@ class TestEvalFe:
 
     def test_independent_monomial_oracle(self):
         # Compare against direct monomial evaluation of the element
-        # polynomial fitted to its own nodes.
+        # polynomial fitted to its own nodes, in 50-digit arithmetic: the
+        # physical-coordinate Vandermonde of a boundary element can be too
+        # ill-conditioned for a double-precision fit (cond 2.9e6 here).
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, 4)
         rng = np.random.default_rng(17)
         coeffs = rng.uniform(-1, 1, size=space.n_dofs)
         elem = mesh.boundary_edges[0][2]
         nodes = space.dof_coords[space.cell_dofs[elem]]
+        pts = nodes.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(5, 2))
         # Fit the 15 monomials x^a y^b, a + b <= 4, to the nodal values.
         exps = [(a, b) for a in range(5) for b in range(5 - a)]
-        V = np.column_stack([nodes[:, 0] ** a * nodes[:, 1] ** b for a, b in exps])
-        mono = np.linalg.solve(V, coeffs[space.cell_dofs[elem]])
-        pts = nodes.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(5, 2))
-        want = sum(
-            c * pts[:, 0] ** a * pts[:, 1] ** b for c, (a, b) in zip(mono, exps)
-        )
+        with mpmath.workdps(50):
+            monomials = lambda x, y: [mpmath.mpf(x) ** a * mpmath.mpf(y) ** b for a, b in exps]
+            V = mpmath.matrix([monomials(x, y) for x, y in nodes])
+            mono = mpmath.lu_solve(V, mpmath.matrix(coeffs[space.cell_dofs[elem]].tolist()))
+            want = np.array([float(mpmath.fsum(c * m for c, m in zip(mono, monomials(x, y)))) for x, y in pts])
         got, _ = eval_fe(space, coeffs, elem, pts)
         assert np.abs(got - want).max() <= 1e-9
 

@@ -6,11 +6,17 @@ malformed input (bad indices, non-finite coordinates) rather than raise.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
+import pefem
 from pefem.fem import FeSpace
 from pefem.geometry import (
     BoundaryComponent,
@@ -20,6 +26,7 @@ from pefem.geometry import (
     square_hole_geometry,
 )
 from pefem.mesh import (
+    MIN_ANGLE_DEG,
     Mesh,
     generate_disk_mesh,
     generate_square_hole_mesh,
@@ -74,6 +81,122 @@ class TestDiskMesh:
     def test_rejects_tiny_boundary_count(self):
         with pytest.raises(ValueError):
             generate_disk_mesh(4)
+
+
+def cross(p, q):
+    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+
+def qhull_disk(n_boundary):
+    """The rings of generate_disk_mesh, built point by point, and their
+    Delaunay triangulation by qhull, oriented CCW."""
+    chord = 2.0 * math.sin(math.pi / n_boundary)
+    n_rings = max(2, math.ceil(2.0 / (math.sqrt(3.0) * 0.7 * chord)))
+    pts = [(0.0, 0.0)]
+    for j in range(1, n_rings + 1):
+        r = j / n_rings
+        n_j = n_boundary if j == n_rings else max(4, round(n_boundary * r / 0.7))
+        offset = 0.0 if j % 2 == 0 else math.pi / n_j
+        theta = 2.0 * math.pi * np.arange(n_j) / n_j + offset
+        pts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
+    vertices = np.array(pts)
+    tris = Delaunay(vertices).simplices
+    a, b, c = (vertices[tris[:, i]] for i in range(3))
+    cw = cross(b - a, c - a) < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    return vertices, tris
+
+
+def interior_quads(tris):
+    """(a, b, c, d) for each edge ab shared by two triangles: abc is CCW
+    and d is the far vertex of the triangle on the other side."""
+    half = np.stack([tris, np.roll(tris, -1, axis=1), np.roll(tris, -2, axis=1)], axis=-1)
+    half = half.reshape(-1, 3)
+    n = int(tris.max()) + 1
+    keys = half[:, 0] * n + half[:, 1]
+    order = np.argsort(keys)
+    pos = np.minimum(np.searchsorted(keys[order], half[:, 1] * n + half[:, 0]), len(keys) - 1)
+    twin = order[pos]
+    own = (keys[twin] == half[:, 1] * n + half[:, 0]) & (half[:, 0] < half[:, 1])
+    return np.column_stack([half[own], half[twin[own], 2]])
+
+
+def incircle(vertices, quads):
+    """The in-circle determinant of each quad (a, b, c, d), positive when d
+    lies inside the circle through the CCW triangle abc, divided by the sum
+    of the absolute values of its terms."""
+    a, b, c = (vertices[quads[:, i]] - vertices[quads[:, 3]] for i in range(3))
+    det, bound = 0.0, 0.0
+    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+        lift = np.einsum("ij,ij->i", p, p)
+        det = det + lift * cross(q, r)
+        bound = bound + lift * (np.abs(q[:, 0] * r[:, 1]) + np.abs(q[:, 1] * r[:, 0]))
+    return det / bound
+
+
+# |incircle| of a cocircular quad on these rings is below 1.5e-13; of any
+# other interior edge above 1.8e-4 (n = 8..300, 512, 1024).
+TIE_TOL = 1e-10
+
+
+def triangle_keys(tris, n):
+    """One integer per triangle, whatever the order of its vertices."""
+    s = np.sort(tris, axis=1).astype(np.int64)
+    return (s[:, 0] * n + s[:, 1]) * n + s[:, 2]
+
+
+@pytest.mark.parametrize("n", [*range(8, 301), 512, 1024])
+def test_disk_rings_are_a_delaunay_triangulation(n):
+    # The rings stitched pairwise against qhull's triangulation of the same
+    # points: they may differ only inside cocircular quads, whose two
+    # diagonals mirror each other, so the minimum angle is the same.
+    mesh = generate_disk_mesh(n)
+    vertices, ref = qhull_disk(n)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    tris = mesh.triangles
+    assert len(tris) == len(ref)
+    a, b, c = (vertices[tris[:, i]] for i in range(3))
+    assert np.all(cross(b - a, c - a) > 0)
+
+    quads = interior_quads(tris)
+    assert len(quads) == (3 * len(tris) - n) // 2
+    rel = incircle(vertices, quads)
+    assert np.all(rel <= TIE_TOL), rel.max()
+    # Flip the cocircular quads whose triangle abc qhull lacks.
+    ties = quads[np.abs(rel) <= TIE_TOL]
+    nv = len(vertices)
+    theirs = np.sort(triangle_keys(ref, nv))
+    flip = ties[~np.isin(triangle_keys(ties[:, :3], nv), theirs)]
+    removed = triangle_keys(np.vstack([flip[:, [0, 1, 2]], flip[:, [0, 1, 3]]]), nv)
+    added = triangle_keys(np.vstack([flip[:, [0, 2, 3]], flip[:, [1, 2, 3]]]), nv)
+    ours = triangle_keys(tris, nv)
+    assert np.array_equal(np.sort(np.concatenate([np.setdiff1d(ours, removed), added])), theirs)
+
+    assert mesh.min_angle_deg() == pytest.approx(Mesh(vertices, ref, []).min_angle_deg(), rel=1e-12)
+    if n >= 32:
+        # The (1, 0.6) ellipse of the CLI and README, from n = 32 on.
+        ellipse = Mesh(vertices * [1.0, 0.6], tris, [])
+        assert ellipse.min_angle_deg() >= MIN_ANGLE_DEG
+
+
+def test_meshing_loads_no_scipy_spatial():
+    code = (
+        "import sys, pefem\n"
+        "pefem.generate_disk_mesh(64)\n"
+        "pefem.generate_ellipse_mesh(64)\n"
+        "pefem.generate_square_hole_mesh(1)\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+    )
+    src = str(Path(pefem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSquareHoleMesh:
