@@ -158,8 +158,10 @@ def generate_disk_mesh(n_boundary):
     an edge and an edge of the neighbouring ring are symmetric about a ray
     their four points are cocircular, and the diagonal runs from the inner
     edge's clockwise end to the outer edge's counter-clockwise end.  The
-    triangles are numbered along the Z-order (Morton) curve of their
-    centroids, so elements near in number are near in the plane.
+    triangles come in the order they are stitched: first each ring's edges
+    with their apexes on the next ring out, then each ring's edges with
+    their apexes on the next ring in, both ring by ring from the centre and
+    counter-clockwise along each ring.
     """
     vertices, triangles = _disk_triangulation(n_boundary)
     return _tagged_mesh(vertices, triangles, lambda mid: np.full(len(mid), "circle"))
@@ -202,8 +204,7 @@ def _disk_triangulation(n_boundary):
         pts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
         counts.append(n_j)
     vertices = np.vstack(pts)
-    triangles = _stitch_rings(np.array(counts, dtype=np.int64))
-    return vertices, triangles[_morton_order(vertices[triangles].mean(axis=1))]
+    return vertices, _stitch_rings(np.array(counts, dtype=np.int64))
 
 
 def _stitch_rings(counts):
@@ -241,18 +242,6 @@ def _stitch_rings(counts):
         return np.column_stack([v, u, w] if step > 0 else [u, v, w])
 
     return np.vstack([fan(np.arange(1, len(counts) - 1), 1), fan(np.arange(1, len(counts)), -1)])
-
-
-def _morton_order(points):
-    """Indices sorting points along the Z-order curve of a 2^16 by 2^16
-    grid over their bounding square: points near in the order are near in
-    the plane."""
-    lo = points.min(axis=0)
-    q = ((points - lo) / (points.max(axis=0) - lo).max() * 65535).astype(np.int64)
-    key = np.zeros(len(q), dtype=np.int64)
-    for b in range(16):
-        key |= (q[:, 0] >> b & 1) << (2 * b + 1) | (q[:, 1] >> b & 1) << (2 * b)
-    return np.argsort(key, kind="stable")
 
 
 def generate_square_hole_mesh(n_refine):

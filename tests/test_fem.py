@@ -4,7 +4,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -442,9 +441,9 @@ class TestEvalFe:
 
     def test_independent_monomial_oracle(self):
         # Compare against direct monomial evaluation of the element
-        # polynomial fitted to its own nodes, in 50-digit arithmetic: the
-        # physical-coordinate Vandermonde of a boundary element can be too
-        # ill-conditioned for a double-precision fit (cond 2.9e6 here).
+        # polynomial fitted to its own nodes, in exact rational arithmetic:
+        # the physical-coordinate Vandermonde of a boundary element can be
+        # too ill-conditioned for a double-precision fit (cond 2.9e6 here).
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, 4)
         rng = np.random.default_rng(17)
@@ -454,11 +453,23 @@ class TestEvalFe:
         pts = nodes.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(5, 2))
         # Fit the 15 monomials x^a y^b, a + b <= 4, to the nodal values.
         exps = [(a, b) for a in range(5) for b in range(5 - a)]
-        with mpmath.workdps(50):
-            monomials = lambda x, y: [mpmath.mpf(x) ** a * mpmath.mpf(y) ** b for a, b in exps]
-            V = mpmath.matrix([monomials(x, y) for x, y in nodes])
-            mono = mpmath.lu_solve(V, mpmath.matrix(coeffs[space.cell_dofs[elem]].tolist()))
-            want = np.array([float(mpmath.fsum(c * m for c, m in zip(mono, monomials(x, y)))) for x, y in pts])
+
+        def monomials(x, y):
+            x, y = Fraction(float(x)), Fraction(float(y))
+            return [x**a * y**b for a, b in exps]
+
+        # Gauss-Jordan elimination on the augmented system [V | values].
+        rows = [monomials(x, y) + [Fraction(float(c))] for (x, y), c in zip(nodes, coeffs[space.cell_dofs[elem]])]
+        n = len(exps)
+        for col in range(n):
+            piv = next(r for r in range(col, n) if rows[r][col] != 0)
+            rows[col], rows[piv] = rows[piv], rows[col]
+            for r in range(n):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col] / rows[col][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        mono = [rows[i][n] / rows[i][i] for i in range(n)]
+        want = np.array([float(sum(c * m for c, m in zip(mono, monomials(x, y)))) for x, y in pts])
         got, _ = eval_fe(space, coeffs, elem, pts)
         assert np.abs(got - want).max() <= 1e-9
 

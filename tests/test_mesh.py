@@ -26,7 +26,6 @@ from pefem.geometry import (
     square_hole_geometry,
 )
 from pefem.mesh import (
-    MIN_ANGLE_DEG,
     Mesh,
     generate_disk_mesh,
     generate_square_hole_mesh,
@@ -173,10 +172,6 @@ def test_disk_rings_are_a_delaunay_triangulation(n):
     assert np.array_equal(np.sort(np.concatenate([np.setdiff1d(ours, removed), added])), theirs)
 
     assert mesh.min_angle_deg() == pytest.approx(Mesh(vertices, ref, []).min_angle_deg(), rel=1e-12)
-    if n >= 32:
-        # The (1, 0.6) ellipse of the CLI and README, from n = 32 on.
-        ellipse = Mesh(vertices * [1.0, 0.6], tris, [])
-        assert ellipse.min_angle_deg() >= MIN_ANGLE_DEG
 
 
 def test_meshing_loads_no_scipy_spatial():
