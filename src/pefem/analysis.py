@@ -12,7 +12,15 @@ from .fem import _chunked_matmul
 
 log = logging.getLogger(__name__)
 
-RESIDUAL_TOL = 1e-12
+# The normwise backward error ||F - A x|| / (||A|| ||x|| + ||F||), in the
+# infinity norm, that every solve proves (Rigal & Gaches, J. ACM 1967).
+# The plain residual bounds the exact value by its own plus eps (N + 1)
+# for rows of at most N entries (see `_residual`), so one SpMV proves
+# 1e-13 for rows of up to about 440 entries.  A P4 vertex row holds
+# 1 + 10 v entries for a vertex of valence v: 71 on the disk meshes,
+# where the slack is 1.6e-14.  1e-13 is 450 units of roundoff: x solves
+# exactly a system within a relative 1e-13 of the one given.
+BACKWARD_ERROR_TOL = 1e-13
 MAX_REFINEMENT_STEPS = 10
 # The H1 error a patch test allows; `patch_test` scales it by the random
 # polynomial's coefficient sum when that exceeds one.
@@ -23,12 +31,13 @@ _SPLITTER = 134217729.0
 # Matrix entries per block of `compensated_residual`: its temporaries stay
 # small enough for the cache and below glibc's default mmap threshold.
 _RESIDUAL_BLOCK = 8192
+_EPS = np.finfo(float).eps
 
-_DIAGNOSTICS = "%d dofs, nnz(L+U) %d, %d refinement steps, relative residuals %s"
+_DIAGNOSTICS = "%d dofs, nnz(L+U) %d, %d refinement steps, backward errors %s"
 
 
 def solve(system):
-    """Sparse direct solve meeting a relative-residual contract of 1e-12.
+    """Sparse direct solve proving a normwise backward error of 1e-13.
 
     SuperLU factorizes the assembled matrix A once, as A^T: it reads the
     CSC view `A.T` of the CSR matrix, which shares A's arrays, so no copy
@@ -46,45 +55,60 @@ def solve(system):
     while on the disk at n = 128, k = 4, Neumann, its peak memory above
     the matrix falls from 65.4 to 51.0 MB and its time by 9%.
     The factors differ from w = 20 in rounding only, since the updates
-    are summed in another order.  The solution is then refined with the
-    same factorization until the relative residual ||F - A x|| / ||F|| is
-    at most 1e-12.  Refinement stops, as LAPACK's xGERFS does, once a step
-    fails to halve the residual, or after 10 steps; SolverError then
-    reports the residual history and the componentwise backward error
-    max |r| / (|A||x| + |F|).  The residual is taken in plain double
-    arithmetic where its rounding error bound still proves the contract,
-    and by `compensated_residual` otherwise.  Each call logs one DEBUG
-    record with the size, nnz(L+U), the refinement steps and the
-    residuals; the record also carries them as the attributes `dofs`,
-    `nnz_a` (stored entries of A), `nnz_lu`, `refinement_steps` and
-    `residuals` (the relative residual history, floats).
+    are summed in another order.
+
+    The contract is on eta = ||F - A x|| / (||A|| ||x|| + ||F||) in the
+    infinity norm, Rigal and Gaches' normwise backward error: x solves
+    exactly a system whose matrix and right-hand side are within a
+    relative eta of A and F.  The relative residual ||F - A x|| / ||F||
+    is no such measure: it grows like ||A|| ||x|| / ||F||, that is like
+    h^-2, on finer meshes, where a stable solve leaves it above any fixed
+    bound.  `solve` proves eta <= BACKWARD_ERROR_TOL from the plain double
+    residual and its rounding error bound, one SpMV; only when that fails
+    does it take the residual with `compensated_residual` and refine x
+    with the same factorization.  Refinement stops, as LAPACK's xGERFS
+    does, once a step fails to halve eta, or after 10 steps; SolverError
+    then reports the history of eta and the componentwise backward error
+    max |r| / (|A||x| + |F|).  Each call logs one DEBUG record with the
+    size, nnz(L+U), the refinement steps and the history of eta; the
+    record also carries them as the attributes `dofs`, `nnz_a` (stored
+    entries of A), `nnz_lu`, `refinement_steps`, `backward_errors` (the
+    history of eta, floats) and `bound`, the proven bound on the exact
+    eta of the x returned.
     """
     A = system.A.tocsr()
     F = np.asarray(system.F, dtype=float)
+    # ||A|| allocates |A|'s entries, so it is taken before the factors exist.
+    norm_a = _norm_inf(A)
     lu = _splu(A)
     x = lu.solve(F, trans="T")
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite entries")
-    scale = np.linalg.norm(F) or 1.0
     history = []
     for step in range(MAX_REFINEMENT_STEPS + 1):
         if step:
             x = x + lu.solve(r, trans="T")
-        r = _residual(A, x, F, RESIDUAL_TOL * scale)
-        history.append(float(np.linalg.norm(r) / scale))
-        if history[-1] <= RESIDUAL_TOL or (step and not history[-1] < 0.5 * history[-2]):
+        r, eta, bound = _residual(A, x, F, norm_a)
+        history.append(eta)
+        if bound <= BACKWARD_ERROR_TOL or (step and not eta < 0.5 * history[-2]):
             break
     diagnostics = (A.shape[0], lu.nnz, step, ", ".join(f"{h:.3e}" for h in history))
     log.debug(
         "solve: " + _DIAGNOSTICS,
         *diagnostics,
         extra=dict(
-            dofs=A.shape[0], nnz_a=A.nnz, nnz_lu=lu.nnz, refinement_steps=step, residuals=history
+            dofs=A.shape[0],
+            nnz_a=A.nnz,
+            nnz_lu=lu.nnz,
+            refinement_steps=step,
+            backward_errors=history,
+            bound=bound,
         ),
     )
-    if history[-1] > RESIDUAL_TOL:
+    if bound > BACKWARD_ERROR_TOL:
         raise SolverError(
-            f"relative residual {history[-1]:.3e} exceeds 1e-12: " + _DIAGNOSTICS % diagnostics
+            f"backward error {bound:.3e} exceeds {BACKWARD_ERROR_TOL:g}: "
+            + _DIAGNOSTICS % diagnostics
             + f"; componentwise backward error {_backward_error(A, x, F, r):.1e}"
         )
     return x
@@ -94,6 +118,11 @@ def _abs(A):
     return sparse.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
 
+def _norm_inf(A):
+    """||A|| in the infinity norm, the largest row sum of |A|."""
+    return float(np.max(_abs(A) @ np.ones(A.shape[1]), initial=0.0))
+
+
 def _backward_error(A, x, F, r):
     """Oettli and Prager's componentwise backward error max |r| / (|A||x| + |F|);
     a row whose denominator is zero has a zero residual and counts as zero."""
@@ -101,19 +130,32 @@ def _backward_error(A, x, F, r):
     return float(np.max(np.abs(r) / np.where(denominator > 0, denominator, 1.0), initial=0.0))
 
 
-def _residual(A, x, F, limit):
-    """F - A x: the plain double residual when its norm plus a bound on
-    its rounding error is at most `limit`, else `compensated_residual`."""
+def _residual(A, x, F, norm_a):
+    """F - A x, its normwise backward error eta and a proven bound on the
+    exact eta: from the plain double residual when that bound is at most
+    BACKWARD_ERROR_TOL, else from `compensated_residual`."""
+    longest = int(np.diff(A.indptr).max(initial=0))
+    scale = norm_a * np.max(np.abs(x), initial=0.0) + np.max(np.abs(F), initial=0.0) or 1.0
+    # Componentwise, |fl(F - A x) - (F - A x)| <= gamma_{n_i + 1}
+    # (|F| + |A| |x|) for a row of n_i entries (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, sec. 3.1), and
+    # || |F| + |A| |x| || <= scale: the exact eta is at most the computed
+    # one plus gamma_{N + 1} for rows of at most N entries.  The factor
+    # 1 + eps (N + 4) covers, in units u = eps / 2, the rounding of ||A||
+    # (N - 1 additions), of scale and of eta, and the relative error 2u
+    # of `compensated_residual`.  With eps in place of u both terms are
+    # twice what they cover, which absorbs gamma's denominator and the
+    # rounding of the bound itself.
     r = F - A @ x
-    if np.linalg.norm(r) <= limit:
-        # Componentwise, |fl(F - A x) - (F - A x)| <= gamma_{n_i + 1}
-        # (|F| + |A| |x|) for a row of n_i entries (Higham, Accuracy and
-        # Stability of Numerical Algorithms, 2002, sec. 3.1); doubled to
-        # cover gamma's denominator and the bound's own rounding.
-        slack = np.finfo(float).eps * (np.diff(A.indptr) + 1) * (np.abs(F) + _abs(A) @ np.abs(x))
-        if np.linalg.norm(np.abs(r) + slack) <= limit:
-            return r
-    return compensated_residual(A, x, F)
+    eta = float(np.max(np.abs(r), initial=0.0) / scale)
+    bound = eta * (1.0 + _EPS * (longest + 4)) + _EPS * (longest + 1)
+    if bound <= BACKWARD_ERROR_TOL:
+        return r, eta, bound
+    # The compensated r_i is off by at most 2^-52 |exact r_i| plus
+    # n_i^3 2^-100 max_j |a_ij x_j| (see `compensated_residual`).
+    r = compensated_residual(A, x, F)
+    eta = float(np.max(np.abs(r), initial=0.0) / scale)
+    return r, eta, eta * (1.0 + _EPS * (longest + 4)) + longest**3 * 2.0**-100
 
 
 def _splu(A):
@@ -135,10 +177,12 @@ def _splu(A):
         raise SingularSystemError(str(exc)) from exc
 
 
-def _split(a):
-    c = _SPLITTER * a
-    high = c - (c - a)
-    return high, a - high
+def _split(a, high, low):
+    """Veltkamp's split of `a` into `high` + `low`, written in place."""
+    np.multiply(_SPLITTER, a, out=low)
+    np.subtract(low, a, out=high)
+    np.subtract(low, high, out=high)
+    np.subtract(a, high, out=low)
 
 
 def compensated_residual(A, x, F):
@@ -163,24 +207,33 @@ def compensated_residual(A, x, F):
     m = int(lengths.max(initial=0)).bit_length()
     cuts = np.searchsorted(indptr, np.arange(_RESIDUAL_BLOCK, indptr[-1], _RESIDUAL_BLOCK))
     bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    # One set of block temporaries for the whole call, each ufunc writing
+    # into them (`out=`): the same operations as fresh arrays, in the same
+    # order, so the same r.
+    buffers = np.empty((8, int(np.diff(indptr[bounds]).max(initial=0))))
     r = np.array(F, dtype=float)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         lo, hi = indptr[r0], indptr[r1]
         if hi == lo:
             continue
-        a, cols = A.data[lo:hi], A.indices[lo:hi]
-        xc = x[cols]
-        p = a * xc
-        a1, a2 = _split(a)
-        x1, x2 = _split(xc)
-        e = a2 * x2 - (((p - a1 * x1) - a2 * x1) - a1 * x2)
+        p, e, t, xc, a1, a2, x1, x2 = buffers[:, : hi - lo]
+        a = A.data[lo:hi]
+        np.take(x, A.indices[lo:hi], out=xc)
+        np.multiply(a, xc, out=p)
+        _split(a, a1, a2)
+        _split(xc, x1, x2)
+        # e = a2 x2 - (((p - a1 x1) - a2 x1) - a1 x2), the error of p.
+        np.subtract(p, np.multiply(a1, x1, out=e), out=e)
+        np.subtract(e, np.multiply(a2, x1, out=t), out=e)
+        np.subtract(e, np.multiply(a1, x2, out=t), out=e)
+        np.subtract(np.multiply(a2, x2, out=t), e, out=e)
         rows = np.flatnonzero(lengths[r0:r1]) + r0
         starts = indptr[rows] - lo
-        sigma = np.ldexp(1.0, np.frexp(np.maximum.reduceat(np.abs(p), starts))[1] + m)
-        sigma = np.repeat(sigma, lengths[rows])
-        high = (sigma + p) - sigma
+        sigma = np.maximum.reduceat(np.abs(p, out=t), starts)
+        sigma = np.repeat(np.ldexp(1.0, np.frexp(sigma)[1] + m), lengths[rows])
+        high = np.subtract(np.add(sigma, p, out=t), sigma, out=t)
         r[rows] -= np.add.reduceat(high, starts)
-        r[rows] -= np.add.reduceat((p - high) + e, starts)
+        r[rows] -= np.add.reduceat(np.add(np.subtract(p, high, out=p), e, out=p), starts)
     return r
 
 

@@ -1,15 +1,20 @@
 """Tests for the linear solver, error norms, rate fitting, and reports."""
 
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pefem.analysis import (
+    BACKWARD_ERROR_TOL,
     ConvergenceReport,
     LevelResult,
+    _norm_inf,
     _residual,
     _splu,
     compensated_residual,
@@ -21,6 +26,9 @@ from pefem.errors import AssemblyError, ConfigurationError, SingularSystemError,
 from pefem.fem import FeSpace
 from pefem.forms import LinearSystem
 from pefem.mesh import generate_square_mesh
+from test_edge_table import PROPERTY
+
+EPS = np.finfo(float).eps
 
 
 def _system(A, F):
@@ -33,11 +41,56 @@ def _solve_records(caplog, system):
     return x, [r for r in caplog.records if r.name == "pefem.analysis"]
 
 
-def _random_rows(rng, n=30):
+def solve_with_record(system):
+    """`solve`'s x and its DEBUG record, without pytest's caplog fixture
+    (which a hypothesis test cannot take)."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("pefem.analysis")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        x = solve(system)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [record] = records
+    return x, record
+
+
+def exact_backward_error(A, x, F):
+    """||F - A x|| / (||A|| ||x|| + ||F||) in the infinity norm, from
+    `compensated_residual` and row sums of |A| taken with `math.fsum`."""
+    A = sparse.csr_matrix(A)
+    r = compensated_residual(A, x, F)
+    rows = zip(A.indptr[:-1], A.indptr[1:])
+    norm_a = max((math.fsum(np.abs(A.data[lo:hi])) for lo, hi in rows), default=0.0)
+    return np.max(np.abs(r)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(F)))
+
+
+def _pivot_growth_matrix(n):
+    """Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
+    column) ordered so that `_splu` factors it as it stands: elimination
+    doubles the last column at each step, so U grows to 2^(n - 1), though
+    cond(W) is about n.  Its W + W^T is dense, so SuperLU's ordering
+    depends on the pattern alone: P is W with that ordering undone, and
+    the diagonal pivots meet the 0.1 threshold.  `_splu` factors the
+    transpose of its argument, so A = P^T makes it factor P, that is W."""
+    W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    W[:, -1] = 1.0
+    order = np.argsort(_splu(sparse.csr_matrix(W.T)).perm_c)
+    P = np.empty_like(W)
+    P[np.ix_(order, order)] = W
+    return P.T
+
+
+def _random_rows(rng, n=30, density=0.3):
     """A random sparse matrix with entries over six decades, a vector x,
     and F = fl(A x) with a few small perturbations: rows of F - A x
     cancel to far below the size of their terms."""
-    A = sparse.random(n, n, density=0.3, random_state=rng, format="csr")
+    A = sparse.random(n, n, density=density, random_state=rng, format="csr")
     A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-3, 4, A.nnz)
     x = rng.standard_normal(n)
     F = A @ x
@@ -90,36 +143,40 @@ class TestSolve:
             assert misses > 0
 
     def test_plain_residual_only_where_its_error_bound_allows(self):
-        A, x, F = _random_rows(np.random.default_rng(4))
-        r = compensated_residual(A, x, F)
-        limit = 2.0 * np.linalg.norm(r)
-        # F - A x cancels to 1e-12 of its terms: only the compensated
-        # residual proves the limit.
-        assert np.array_equal(_residual(A, x, F, limit), r)
-        easy = F + 1e-3
-        assert np.array_equal(_residual(A, x, easy, 1.0), easy - A @ x)
+        rng = np.random.default_rng(4)
+        A, x, F = _random_rows(rng)
+        longest = np.diff(A.indptr).max()
+        # F - A x cancels to 1e-12 of its terms, yet eta is far below the
+        # contract, and rows of at most 30 entries add at most eps 31 to
+        # it: the plain residual proves the contract.
+        r, eta, bound = _residual(A, x, F, _norm_inf(A))
+        assert np.array_equal(r, F - A @ x)
+        assert bound == eta * (1.0 + EPS * (longest + 4)) + EPS * (longest + 1)
+        assert bound <= BACKWARD_ERROR_TOL
+        # A residual above the contract: the compensated one is taken.
+        far = F + 1e-9 * np.abs(F).max()
+        r, eta, bound = _residual(A, x, far, _norm_inf(A))
+        assert np.array_equal(r, compensated_residual(A, x, far))
+        assert bound > BACKWARD_ERROR_TOL
+        # Rows of 500 entries: their rounding slack, eps 501, is itself
+        # above the contract, however small eta is.
+        A = sparse.csr_matrix(rng.standard_normal((4, 500)))
+        x = rng.standard_normal(500)
+        F = A @ x
+        r, eta, bound = _residual(A, x, F, _norm_inf(A))
+        assert np.array_equal(r, compensated_residual(A, x, F))
+        assert eta <= 4 * EPS
+        assert bound <= BACKWARD_ERROR_TOL
 
     def test_refinement_recovers_from_pivot_growth(self, caplog):
-        # Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
-        # column) doubles the last column at each elimination step, so U
-        # grows to 2^31 and the first solve misses the contract by far,
-        # though cond(W) is about n.  Its W + W^T is dense, so SuperLU's
-        # ordering depends on the pattern alone: P is W with that ordering
-        # undone, and the diagonal pivots meet the 0.1 threshold.  `_splu`
-        # factors the transpose of its argument, so A = P^T makes it
-        # factor P, that is W.
+        # U grows to 2^31, and the first solve misses the contract by far.
         n = 32
-        W = np.eye(n) - np.tril(np.ones((n, n)), -1)
-        W[:, -1] = 1.0
-        order = np.argsort(_splu(sparse.csr_matrix(W.T)).perm_c)
-        P = np.empty_like(W)
-        P[np.ix_(order, order)] = W
-        A = P.T
+        A = _pivot_growth_matrix(n)
         assert np.abs(_splu(sparse.csr_matrix(A)).U.data).max() == 2.0 ** (n - 1)
         system = _system(A, A @ np.random.default_rng(1).standard_normal(n))
         x, records = _solve_records(caplog, system)
         residuals = [float(h) for h in records[0].args[3].split(", ")]
-        assert residuals[0] > 1e-10
+        assert residuals[0] > 100 * BACKWARD_ERROR_TOL
         assert records[0].args[2] == len(residuals) - 1 >= 1
         exact = compensated_residual(system.A, x, system.F)
         assert np.linalg.norm(exact) <= 1e-12 * np.linalg.norm(system.F)
@@ -134,25 +191,38 @@ class TestSolve:
         assert n == 4
         assert lu_nnz == 20  # a dense 4 x 4 matrix: 10 entries in each of L, U
         assert len(residuals.split(", ")) == steps + 1
-        assert float(residuals.split(", ")[-1]) <= 1e-12
+        assert float(residuals.split(", ")[-1]) <= BACKWARD_ERROR_TOL
         assert f"{n} dofs, nnz(L+U) {lu_nnz}, {steps} refinement steps" in record.getMessage()
         # The same numbers as structured fields, the history as floats.
         assert (record.dofs, record.nnz_a, record.nnz_lu) == (4, 16, 20)
         assert record.refinement_steps == steps
-        assert len(record.residuals) == steps + 1
-        assert all(type(h) is float for h in record.residuals)
-        assert residuals == ", ".join(f"{h:.3e}" for h in record.residuals)
+        assert len(record.backward_errors) == steps + 1
+        assert all(type(h) is float for h in record.backward_errors)
+        assert residuals == ", ".join(f"{h:.3e}" for h in record.backward_errors)
+        # The proven bound: the last eta plus the plain residual's slack
+        # for rows of 4 entries.
+        eta = record.backward_errors[-1]
+        assert record.bound == eta * (1.0 + 8 * EPS) + 5 * EPS <= BACKWARD_ERROR_TOL
 
     def test_solver_error_carries_sizes_and_history(self, caplog):
-        m = 10
-        hilbert = 1.0 / (np.arange(m)[:, None] + np.arange(m) + 1)
+        # At n = 100, U grows to 2^99: each solve with the factors is off
+        # by far more than x, and refinement stalls far above the contract.
+        # (A Hilbert matrix of order 10 meets the contract at once; the
+        # pivot growth of order 60 is still refined to 1e-17.)
+        n = 100
+        A = _pivot_growth_matrix(n)
         with pytest.raises(SolverError) as info:
-            _solve_records(caplog, _system(hilbert, np.ones(m)))
+            _solve_records(caplog, _system(A, A @ np.random.default_rng(1).standard_normal(n)))
         message = str(info.value)
-        assert "10 dofs, nnz(L+U) " in message
-        # The first step does not halve the residual, so refinement stops.
-        assert "1 refinement steps" in message
-        assert len(message.split("relative residuals ")[1].split(", ")) == 2
+        assert message.startswith("backward error ")
+        assert "exceeds 1e-13: 100 dofs, nnz(L+U) " in message
+        steps = int(message.split(" refinement steps")[0].rsplit(", ", 1)[1])
+        history = message.split("backward errors ")[1].split(";")[0]
+        etas = [float(h) for h in history.split(", ")]
+        assert len(etas) == steps + 1 >= 2
+        # Refinement stopped because a step failed to halve eta.
+        assert not etas[-1] < 0.5 * etas[-2]
+        assert etas[-1] > BACKWARD_ERROR_TOL
         assert "componentwise backward error" in message
         assert len([r for r in caplog.records if r.name == "pefem.analysis"]) == 1
 
@@ -160,19 +230,32 @@ class TestSolve:
     def test_refinement_stops_at_the_rounding_floor(self, caplog, n):
         # F = A x is O(h^2) against |A||x| = O(1): rounding x to double
         # alone leaves a relative residual above 1e-12, which no step can
-        # remove, though the backward error is a few units of roundoff.
+        # remove.  The backward error is a few units of roundoff, which the
+        # plain residual proves for rows of 3 entries: no step is taken.
         off = -np.ones(n - 1)
         A = sparse.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr")
         F = A @ np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
-        with pytest.raises(SolverError) as info:
-            _solve_records(caplog, _system(A, F))
-        message = str(info.value)
-        history = message.split("relative residuals ")[1].split(";")[0]
-        residuals = [float(h) for h in history.split(", ")]
-        assert 2 <= len(residuals) < 11
-        assert not residuals[-1] < 0.5 * residuals[-2]
-        assert residuals[-1] > 1e-12
-        assert float(message.split("backward error ")[1]) <= 4 * np.finfo(float).eps
+        x, [record] = _solve_records(caplog, _system(A, F))
+        assert record.refinement_steps == 0
+        assert np.linalg.norm(compensated_residual(A, x, F)) > 1e-12 * np.linalg.norm(F)
+        assert exact_backward_error(A, x, F) <= record.bound <= 8 * EPS
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7, 30, 460]), st.floats(0.05, 1.0))
+    def test_proven_bound_holds_on_random_sparse_systems(self, seed, n, density):
+        # Entries over six decades, rows that cancel to 1e-12 of their
+        # terms, and at n = 460 rows long enough that only the compensated
+        # residual proves the contract.
+        rng = np.random.default_rng(seed)
+        A, x, F = _random_rows(rng, n, density)
+        A = (A + sparse.diags(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n))).tocsr()
+        F = A @ x
+        F[::3] += 1e-12 * rng.standard_normal(len(F[::3]))
+        try:
+            x, record = solve_with_record(_system(A, F))
+        except (SingularSystemError, SolverError):
+            return
+        assert exact_backward_error(A, x, F) <= record.bound <= BACKWARD_ERROR_TOL
 
     def test_pivots_off_zero_and_tiny_diagonal_entries(self):
         # A diagonally dominant matrix with its rows reversed, plus 1e-9 on

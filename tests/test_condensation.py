@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pefem.analysis import _splu, compensated_residual, solve
+from pefem.analysis import BACKWARD_ERROR_TOL, _splu, compensated_residual, solve
 from pefem.fem import FeSpace
 from pefem.forms import (
     assemble_pefem_dirichlet,
@@ -26,6 +26,7 @@ from pefem.forms import (
 from pefem.geometry import disk_geometry, square_hole_geometry
 from pefem.mesh import generate_disk_mesh, generate_square_hole_mesh
 from pefem.problems import cosine_problem, rational_problem
+from test_analysis import exact_backward_error, solve_with_record
 from test_edge_table import PROPERTY, perturbed_disk_meshes
 
 ASSEMBLERS = {
@@ -67,6 +68,16 @@ def test_assembled_systems_meet_the_contract(domain, k, assembler):
 )
 def test_assembled_systems_meet_the_contract_on_perturbed_meshes(mesh, k, assembler):
     _check_contract(_assemble(mesh, disk_geometry(), cosine_problem, k, assembler))
+
+
+@PROPERTY
+@given(perturbed_disk_meshes(), st.integers(1, 4), st.sampled_from(sorted(ASSEMBLERS)))
+def test_proven_bound_holds_on_perturbed_meshes(mesh, k, assembler):
+    # The exact normwise backward error of the x returned is within the
+    # bound `solve` proved, on every assembler's matrix.
+    system = _assemble(mesh, disk_geometry(), cosine_problem, k, assembler)
+    x, record = solve_with_record(system)
+    assert exact_backward_error(system.A, x, system.F) <= record.bound <= BACKWARD_ERROR_TOL
 
 
 @pytest.mark.parametrize(
