@@ -5,7 +5,6 @@ or outside the reference triangle: extrapolating an element's polynomial
 past its own edges is exactly what the boundary terms of the method need.
 """
 
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -19,79 +18,28 @@ from .mesh import _row_norms
 # reference element
 
 
-def monomial_sum(x, y, coeffs):
-    """The sum over a, b of coeffs[a, b, ...] x^a y^b at the points (x, y).
-
-    x and y broadcast against each other.  Trailing axes of coeffs hold
-    m polynomials, evaluated together: the result has shape
-    broadcast(x, y).shape + coeffs.shape[2:].  The powers of x and of y
-    are tables built by repeated products, and one GEMM contracts them
-    with the coefficients, in the order whose intermediate is smaller:
-    with m < n_b (a value, a gradient), the GEMM sums the powers of y
-    for each a and the powers of x then weight those sums; otherwise
-    (the basis tables of `ReferenceElement`), the GEMM takes the table
-    of products x^a y^b.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    c = np.asarray(coeffs, dtype=float)
-    n_a, n_b = c.shape[:2]
-    m = c[0, 0].size
-    c = c.reshape(n_a, n_b, m)
-    x_powers, y_powers = _powers(x.ravel(), n_a), _powers(y.ravel(), n_b)
-    if m < n_b:
-        over_b = (np.swapaxes(c, 1, 2).reshape(-1, n_b) @ y_powers).reshape(n_a, m, x.size)
-        out = over_b[0]
-        for a in range(1, n_a):
-            out = out + x_powers[a] * over_b[a]
-        out = out.T
-    else:
-        table = x_powers[:, None] * y_powers[None]
-        out = table.reshape(n_a * n_b, -1).T @ c.reshape(n_a * n_b, -1)
-    return out.reshape(x.shape + np.shape(coeffs)[2:])[()]
-
-
-def _powers(t, n):
-    """t^0, ..., t^(n-1) as the rows of an (n, len(t)) array."""
-    out = np.empty((n, len(t)))
-    out[0] = 1.0
-    for a in range(1, n):
-        np.multiply(out[a - 1], t, out=out[a])
-    return out
-
-
 class ReferenceElement:
-    """P_k Lagrange element on the unit reference triangle.
+    """P_k Lagrange element on the unit reference triangle, in Silvester's
+    product form (Int. J. Engng Sci. 7, 1969).
 
-    Nodes are the equispaced lattice {(i/k, j/k) : i, j >= 0, i + j <= k}.
-    The basis is stored in monomial form (coefficients solve the Vandermonde
-    system), so values and gradients are defined at any point of the plane:
-    `table` (k + 1, k + 1, 3, n_basis) holds at [a, b] the coefficients of
-    x^a y^b in each basis function, its d/dx and its d/dy, for one
-    `monomial_sum`.
+    `bary` (n_basis, 3) holds k times the barycentric coordinates (a, i, j)
+    of each node, the point (i/k, j/k) of `nodes`.  With lambda =
+    (1 - x - y, x, y), the node's basis function is R_a(k lambda_0)
+    R_i(k lambda_1) R_j(k lambda_2), where R_m(z) = prod_{s<m} (z - s)/(s + 1)
+    is zero at z = 0..m-1 and one at z = m.  No linear solve defines it,
+    and its values and gradients are accurate to rounding anywhere in the
+    plane, outside the triangle too.
     """
 
     def __init__(self, degree):
         if not 1 <= degree <= 4:
             raise ValueError("degree must be between 1 and 4")
-        self.degree = degree
-        lattice = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-        self.node_lattice = lattice
-        self.nodes = np.array(lattice, dtype=float) / degree
-        # The exponents (a, b), a + b <= k, are the lattice's index pairs:
-        # monomial m is x^a[m] y^b[m].
-        a, b = np.array(lattice).T
-        vand = self.nodes[:, [0]] ** a * self.nodes[:, [1]] ** b
-        coeffs = np.linalg.solve(vand, np.eye(len(lattice)))
-        table = np.zeros((degree + 1, degree + 1, 3, len(lattice)))
-        table[a, b, 0] = coeffs
-        dx, dy = a > 0, b > 0
-        table[a[dx] - 1, b[dx], 1] = a[dx, None] * coeffs[dx]
-        table[a[dy], b[dy] - 1, 2] = b[dy, None] * coeffs[dy]
-        self.table = table
-
-    @property
-    def n_basis(self):
-        return len(self.nodes)
+        self.degree = k = degree
+        self.bary = np.array([(k - i - j, i, j) for i in range(k + 1) for j in range(k + 1 - i)])
+        self.nodes = self.bary[:, 1:] / k
+        self.n_basis = len(self.bary)
+        # Row 3 m + c of the factor tables in `eval` holds R_m(k lambda_c).
+        self._factor_rows = 3 * self.bary.T + np.arange(3)[:, None]
 
     def eval(self, points):
         """Basis values and gradients at arbitrary reference points.
@@ -100,11 +48,35 @@ class ReferenceElement:
         (n_pts, n_basis, 2).  No clamping to the simplex is performed.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = monomial_sum(pts[:, 0], pts[:, 1], self.table)
-        return out[:, 0], np.stack([out[:, 1], out[:, 2]], axis=-1)
+        k, n = self.degree, len(pts)
+        x, y = pts.T
+        lam = np.stack([1.0 - x - y, x, y])
+        # The factors (k lambda - s) / (s + 1), s < k; R_m is the product
+        # of the first m, and its derivative in lambda, dR_m, follows from
+        # R_m = R_(m-1) f_(m-1) by the product rule.  Points come last, so
+        # every operation runs over contiguous rows.
+        s = np.arange(k)[:, None, None]
+        f = (k * lam - s) / (s + 1)
+        r, dr = np.empty((k + 1, 3, n)), np.empty((k + 1, 3, n))
+        r[0], dr[0], dr[1] = 1.0, 0.0, k
+        np.cumprod(f, axis=0, out=r[1:])
+        for m in range(2, k + 1):
+            np.multiply(dr[m - 1], f[m - 1], out=dr[m])
+            dr[m] += (k / m) * r[m - 1]
+        r, dr = r.reshape(-1, n), dr.reshape(-1, n)
+        i0, i1, i2 = self._factor_rows
+        r0, r1, r2 = r[i0], r[i1], r[i2]
+        values = r1 * r2
+        d_lam0 = dr[i0] * values
+        values *= r0
+        # d/dx = d/dlambda_1 - d/dlambda_0, d/dy = d/dlambda_2 - d/dlambda_0.
+        gradients = np.empty((2, self.n_basis, n))
+        np.multiply(r0 * r2, dr[i1], out=gradients[0])
+        np.multiply(r0 * r1, dr[i2], out=gradients[1])
+        gradients -= d_lam0
+        return values.T, gradients.T
 
 
-@lru_cache(maxsize=8)
 def reference_element(degree):
     return ReferenceElement(degree)
 
@@ -256,15 +228,11 @@ class FeSpace:
         n_int = (k - 1) * (k - 2) // 2
         self.n_dofs = nv + (k - 1) * ne + n_int * nt
 
-        # Local basis indices of the k + 1 nodes on each local edge.
-        # Local edges: 0 = (v0,v1) [j==0], 1 = (v1,v2) [i+j==k], 2 = (v2,v0) [i==0].
-        i, j = np.array(self.ref.node_lattice).T
-        self.edge_nodes = np.array(
-            [np.flatnonzero(j == 0), np.flatnonzero(i + j == k), np.flatnonzero(i == 0)]
-        )
-        # k times the barycentric coordinates of each node: node n lies on
-        # local edge l at position bary[n, l + 1] from its first vertex.
-        bary = np.column_stack([k - i - j, i, j])
+        # Local basis indices of the k + 1 nodes on each local edge: edge l
+        # runs from corner l to corner l + 1, where lambda_(l + 2) is zero,
+        # and node n lies on it at position bary[n, l + 1] from corner l.
+        bary = self.ref.bary
+        self.edge_nodes = np.array([np.flatnonzero(bary[:, (l + 2) % 3] == 0) for l in range(3)])
         inner = self.edge_nodes[:, 1:-1]
         pos = bary[inner, [[1], [2], [0]]]  # (3, k - 1)
 

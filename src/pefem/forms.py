@@ -141,15 +141,17 @@ def _replace_rows(space, problem, rows, constraint, rhs):
 
 def _edge_quadrature(space, geometry):
     """The space's boundary-edge quadrature points x (E, n_q, 2), their
-    closest points eta on the true boundary, the weights (E, n_q), the
-    test traces at x (E, n_q, k + 1), i.e. the adjacent element's basis
-    restricted to the edge's own nodes, and the basis gradients at x
-    (E, n_q, n_basis, 2)."""
+    closest points eta on the true boundary, the weights (E, n_q), and,
+    from one `eval_basis` call at x and eta together: the test traces at
+    x (E, n_q, k + 1), i.e. the adjacent element's basis restricted to
+    the edge's own nodes, the basis gradients at x (E, n_q, n_basis, 2),
+    and the basis values and gradients at eta."""
     x = space.boundary_points
     eta = _per_curve(geometry.closest_point, x, space.boundary_curve)
-    vals_x, grads_x = eval_basis(space, space.boundary_tri, x)
-    test = np.take_along_axis(vals_x, space.boundary_local[:, None, :], axis=2)
-    return x, eta, space.boundary_weights, test, grads_x
+    n_q = x.shape[1]
+    vals, grads = eval_basis(space, space.boundary_tri, np.concatenate([x, eta], axis=1))
+    test = np.take_along_axis(vals[:, :n_q], space.boundary_local[:, None, :], axis=2)
+    return x, eta, space.boundary_weights, test, grads[:, :n_q], vals[:, n_q:], grads[:, n_q:]
 
 
 def _edge_load(space, values):
@@ -186,9 +188,8 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
         raise ConfigurationError("problem is not a Dirichlet problem")
     _check_c_theta(c_theta)
     theta = c_theta / space.mesh.h
-    _x, eta, weights, test, _grads_x = _edge_quadrature(space, geometry)
+    _x, eta, weights, test, _grads_x, vals_eta, _grads_eta = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve
-    vals_eta, _ = eval_basis(space, tri, eta)
     block = theta * np.einsum("eq,eqi,eqj->eij", weights, test, vals_eta)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
     rhs = _edge_load(space, theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
@@ -215,9 +216,8 @@ def _flux_correction(space, problem, geometry):
     `_add_blocks`, from per-edge blocks with the exact normals at eta and
     the test traces at x.  Also returns eta, the exact normals there, the
     weights and the test traces."""
-    x, eta, weights, test, grads_x = _edge_quadrature(space, geometry)
+    x, eta, weights, test, grads_x, _vals_eta, grads_eta = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve
-    _vals_eta, grads_eta = eval_basis(space, tri, eta)
     n_true = _per_curve(geometry.unit_normal, eta, curve)
     n_h = space.boundary_normals
     where = dict(elements=tri, curves=curve)

@@ -7,15 +7,46 @@ from the exact solution, so errors measure only the discretization.
 import numpy as np
 
 from .errors import ConfigurationError
-from .fem import monomial_sum
 from .forms import ProblemSpec, _one
+
+
+def monomial_sum(x, y, coeffs):
+    """The sum over a, b of coeffs[a, b, ...] x^a y^b at the points (x, y).
+
+    x and y broadcast against each other.  Trailing axes of coeffs hold
+    m polynomials, evaluated together: the result has shape
+    broadcast(x, y).shape + coeffs.shape[2:].  The powers of x and of y
+    are tables built by repeated products; one GEMM sums the powers of y
+    for each a and each polynomial, and the powers of x then weight those
+    sums.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    c = np.asarray(coeffs, dtype=float)
+    n_a, n_b = c.shape[:2]
+    m = c[0, 0].size
+    x_powers, y_powers = _powers(x.ravel(), n_a), _powers(y.ravel(), n_b)
+    over_b = np.swapaxes(c.reshape(n_a, n_b, m), 1, 2).reshape(-1, n_b) @ y_powers
+    over_b = over_b.reshape(n_a, m, x.size)
+    out = over_b[0]
+    for a in range(1, n_a):
+        out = out + x_powers[a] * over_b[a]
+    return out.T.reshape(x.shape + c.shape[2:])[()]
+
+
+def _powers(t, n):
+    """t^0, ..., t^(n-1) as the rows of an (n, len(t)) array."""
+    out = np.empty((n, len(t)))
+    out[0] = 1.0
+    for a in range(1, n):
+        np.multiply(out[a - 1], t, out=out[a])
+    return out
 
 
 class Poly2D:
     """Bivariate polynomial sum c[i, j] x^i y^j with analytic derivatives.
 
     Trailing axes of c hold several polynomials, which a call evaluates
-    together (see `fem.monomial_sum`); the derivatives and sums take 2-D c.
+    together (see `monomial_sum`); the derivatives and sums take 2-D c.
     """
 
     def __init__(self, coeffs):

@@ -18,7 +18,6 @@ from pefem.fem import (
     assemble_load,
     assemble_operator,
     eval_fe,
-    monomial_sum,
     reference_element,
     segment_quadrature,
     triangle_quadrature,
@@ -30,7 +29,7 @@ from pefem.mesh import (
     generate_square_hole_mesh,
     generate_square_mesh,
 )
-from pefem.problems import Poly2D
+from pefem.problems import Poly2D, monomial_sum
 
 
 THREE_DOMAINS = pytest.mark.parametrize(
@@ -77,6 +76,39 @@ class TestReferenceElement:
             fd = (vp - vm) / (2 * eps)
             assert np.abs(fd - grads[:, :, d]).max() <= 1e-6
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_exact_rational_basis(self, k):
+        # The basis fitted in exact arithmetic: the Vandermonde system of
+        # the monomials x^a y^b, a + b <= k, at the nodes, solved in
+        # Fractions and evaluated exactly at the (float) points, which are
+        # the degree-10 rule's and points 0.05 outside each edge.
+        ref = reference_element(k)
+        exps = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
+        monomials = lambda x, y: [x**a * y**b for a, b in exps]
+        d_dx = lambda x, y: [a * x ** max(a - 1, 0) * y**b for a, b in exps]
+        d_dy = lambda x, y: [b * x**a * y ** max(b - 1, 0) for a, b in exps]
+        nodes = [(Fraction(int(i), k), Fraction(int(j), k)) for _, i, j in ref.bary]
+        coeffs = _exact_inverse([monomials(*node) for node in nodes])
+        t = np.linspace(0.0, 1.0, 9)
+        off = 0.05
+        outside = np.concatenate([
+            np.column_stack([t, np.full_like(t, -off)]),
+            np.column_stack([t, 1.0 - t]) + off / math.sqrt(2.0),
+            np.column_stack([np.full_like(t, -off), t]),
+        ])
+        for pts in (triangle_quadrature(10)[0], outside):
+            exact = [
+                [
+                    [float(sum(c[n] * v for c, v in zip(coeffs, row(Fraction(x), Fraction(y)))))
+                     for n in range(ref.n_basis)]
+                    for x, y in pts
+                ]
+                for row in (monomials, d_dx, d_dy)
+            ]
+            vals, grads = ref.eval(pts)
+            assert np.abs(vals - exact[0]).max() <= 2e-15
+            assert np.abs(grads - np.stack(exact[1:], axis=-1)).max() <= 1.5e-14
+
     def test_dimension_formula(self):
         for k in (1, 2, 3, 4):
             assert reference_element(k).n_basis == (k + 1) * (k + 2) // 2
@@ -84,6 +116,21 @@ class TestReferenceElement:
     def test_rejects_unsupported_degree(self):
         with pytest.raises(ValueError):
             reference_element(5).eval([[0.0, 0.0]])
+
+
+def _exact_inverse(rows):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan
+    elimination with exact arithmetic."""
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 class TestMonomialSum:
@@ -96,7 +143,8 @@ class TestMonomialSum:
         scale = np.polynomial.polynomial.polyval2d(np.abs(x), np.abs(y), np.abs(coeffs))
         assert np.all(np.abs(monomial_sum(x, y, coeffs) - want) <= 1e-15 * scale)
 
-    # Fewer polynomials than powers of y, then more: both contraction orders.
+    # Fewer polynomials than powers of y, then more: the one contraction
+    # order (sum over y, then weight by x) serves both.
     @pytest.mark.parametrize("shape", [(5, 5, 2), (4, 3, 2, 5)])
     def test_trailing_axes_are_separate_polynomials(self, shape):
         rng = np.random.default_rng(3)
@@ -335,7 +383,7 @@ class TestFeSpace:
         # vertex and edge dof, element by element.
         mesh = generate_disk_mesh(16)
         space = FeSpace(mesh, k)
-        i, j = np.array(space.ref.node_lattice).T
+        i, j = space.ref.bary[:, 1:].T
         inside = (i > 0) & (j > 0) & (i + j < k)
         n_inside = len(mesh.triangles) * int(inside.sum())
         first = space.n_dofs - n_inside
@@ -458,17 +506,9 @@ class TestEvalFe:
             x, y = Fraction(float(x)), Fraction(float(y))
             return [x**a * y**b for a, b in exps]
 
-        # Gauss-Jordan elimination on the augmented system [V | values].
-        rows = [monomials(x, y) + [Fraction(float(c))] for (x, y), c in zip(nodes, coeffs[space.cell_dofs[elem]])]
-        n = len(exps)
-        for col in range(n):
-            piv = next(r for r in range(col, n) if rows[r][col] != 0)
-            rows[col], rows[piv] = rows[piv], rows[col]
-            for r in range(n):
-                if r != col and rows[r][col] != 0:
-                    f = rows[r][col] / rows[col][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        mono = [rows[i][n] / rows[i][i] for i in range(n)]
+        inverse = _exact_inverse([monomials(x, y) for x, y in nodes])
+        values = [Fraction(float(c)) for c in coeffs[space.cell_dofs[elem]]]
+        mono = [sum(a * v for a, v in zip(row, values)) for row in inverse]
         want = np.array([float(sum(c * m for c, m in zip(mono, monomials(x, y)))) for x, y in pts])
         got, _ = eval_fe(space, coeffs, elem, pts)
         assert np.abs(got - want).max() <= 1e-9
