@@ -29,7 +29,6 @@ from .fem import (
     assemble_load,
     assemble_operator,
     eval_fe,
-    reference_element,
     segment_quadrature,
     triangle_quadrature,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "polynomial_problem",
     "preset_problem",
     "rational_problem",
-    "reference_element",
     "segment_quadrature",
     "solve",
     "square_component",

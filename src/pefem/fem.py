@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, SingularElementError
+from .errors import AssemblyError, ConfigurationError, SingularElementError
 from .mesh import _row_norms
 
 
@@ -75,10 +75,6 @@ class ReferenceElement:
         np.multiply(r0 * r1, dr[i2], out=gradients[1])
         gradients -= d_lam0
         return values.T, gradients.T
-
-
-def reference_element(degree):
-    return ReferenceElement(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,8 @@ class FeSpace:
     element-interior ("bubble") dofs, (k-1)(k-2)/2 per element, element by
     element.
 
-    `boundary_dofs` are the dofs whose nodes lie on the polygonal boundary;
+    `boundary_dofs` are the dofs whose nodes lie on the polygonal boundary,
+    sorted, and `boundary_dof_edge` the first boundary edge holding each;
     `interior_dofs` are all the others (vertex, edge and bubble dofs off the
     boundary), a larger set than the bubbles.
     """
@@ -220,7 +217,7 @@ class FeSpace:
     def __init__(self, mesh, degree):
         self.mesh = mesh
         self.degree = degree
-        self.ref = reference_element(degree)
+        self.ref = ReferenceElement(degree)
         k = degree
         nv, nt = len(mesh.vertices), len(mesh.triangles)
         table = mesh.edge_table
@@ -286,7 +283,8 @@ class FeSpace:
         e = mesh.vertices[end] - mesh.vertices[start]
         self.boundary_normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / _row_norms(e)[:, None]
 
-        self.boundary_dofs = np.unique(self.boundary_edge_dofs)
+        self.boundary_dofs, first = np.unique(self.boundary_edge_dofs, return_index=True)
+        self.boundary_dof_edge = first // (k + 1)
         interior = np.ones(self.n_dofs, dtype=bool)
         interior[self.boundary_dofs] = False
         self.interior_dofs = np.flatnonzero(interior)
@@ -408,7 +406,10 @@ def assemble_operator(space, p=None, q=None):
 def _eval_field(fun, x, what, *args, elements=None, curves=None):
     """fun(x, y, *args) at the points x (M, ..., 2); a non-finite value
     raises AssemblyError naming the first such row's element, elements[row]
-    (default: row), and its curve id curves[row] if given."""
+    (default: row), and its curve id curves[row] if given.  A field that
+    is None raises ConfigurationError naming it."""
+    if fun is None:
+        raise ConfigurationError(f"the problem has no {what}")
     vals = np.asarray(fun(x[..., 0], x[..., 1], *args), dtype=float)
     vals = np.broadcast_to(vals, x.shape[:-1])
     finite = np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))

@@ -87,15 +87,6 @@ class LinearSystem:
     F: np.ndarray
 
 
-def _block_positions(rows, cols, blocks):
-    """The row and column of each entry of blocks.ravel(), for blocks
-    (R, a, b) at rows (R, a) and columns (R, b); the rows as int64, so
-    keys row * n + col do not wrap."""
-    n_rows, n_cols = blocks.shape[1:]
-    row = np.repeat(rows, n_cols, axis=1).ravel().astype(np.int64)
-    return row, np.tile(cols, (1, n_rows)).ravel()
-
-
 def _add_blocks(A, rows, cols, blocks):
     """Add blocks[r, i, j] to A's stored entry (rows[r, i], cols[r, j]) in
     place: rows (R, a), cols (R, b), blocks (R, a, b).  The block entries
@@ -104,8 +95,10 @@ def _add_blocks(A, rows, cols, blocks):
     keys row * n + col of the entries stored in the block rows are sorted;
     an entry that A does not store raises AssemblyError."""
     n = A.shape[1]
-    row, col = _block_positions(rows, cols, blocks)
-    want = row * n + col
+    n_rows, n_cols = blocks.shape[1:]
+    # int64 rows, so the keys do not wrap.
+    row = np.repeat(rows, n_cols, axis=1).ravel().astype(np.int64)
+    want = row * n + np.tile(cols, (1, n_rows)).ravel()
     in_rows = np.zeros(A.shape[0], dtype=bool)
     in_rows[rows] = True
     lengths = np.diff(A.indptr)
@@ -119,23 +112,21 @@ def _add_blocks(A, rows, cols, blocks):
     A.data[stored] += np.bincount(at, weights=blocks.ravel(), minlength=len(stored))
 
 
-def _replace_rows(space, problem, rows, constraint, rhs):
-    """The system of the operator and load of `problem` with the rows
-    `rows` swapped for constraint rows.
-
-    `constraint` holds the (rows, cols, blocks) of `_add_blocks`, with
-    block rows in `rows` only; `rhs` holds the new right-hand side, one
-    entry per row in `rows`.  The operator's entries in those rows are
-    zeroed and the constraint added in place, so the operator's pattern
-    stays.
-    """
+def _system(space, problem, rows, cols, blocks, rhs, replace):
+    """The operator and load of `problem` with the blocks of `_add_blocks`
+    at (rows, cols) added, and rhs[r, i] added to the load at rows[r, i].
+    With `replace`, the operator's entries and the load in the block rows
+    are zeroed first, so the blocks take the place of those rows.  Either
+    way the operator's pattern stays."""
     A = assemble_operator(space, p=problem.p, q=problem.q)
-    replaced = np.zeros(space.n_dofs, dtype=bool)
-    replaced[rows] = True
-    A.data[np.repeat(replaced, np.diff(A.indptr))] = 0.0
-    _add_blocks(A, *constraint)
     F = assemble_load(space, problem.f)
-    F[rows] = rhs
+    if replace:
+        replaced = np.zeros(space.n_dofs, dtype=bool)
+        replaced[rows] = True
+        A.data[np.repeat(replaced, np.diff(A.indptr))] = 0.0
+        F[replaced] = 0.0
+    _add_blocks(A, rows, cols, blocks)
+    F += np.bincount(rows.ravel(), weights=rhs.ravel(), minlength=space.n_dofs)
     return LinearSystem(A, F)
 
 
@@ -154,19 +145,11 @@ def _edge_quadrature(space, geometry):
     return x, eta, space.boundary_weights, test, grads[:, :n_q], vals[:, n_q:], grads[:, n_q:]
 
 
-def _edge_load(space, values):
-    """Per-edge test integrals (E, k + 1) summed into a dof vector."""
-    dofs = space.boundary_edge_dofs.ravel()
-    return np.bincount(dofs, weights=values.ravel(), minlength=space.n_dofs)
-
-
 def _boundary_nodes(space, geometry):
     """Each boundary dof, sorted, with the adjacent triangle and curve id
     of the first boundary edge holding it, and its closest point on the
     true boundary (the node itself if geometry is None)."""
-    edge_dofs = space.boundary_edge_dofs
-    dofs, first = np.unique(edge_dofs, return_index=True)
-    owner = first // edge_dofs.shape[1]
+    dofs, owner = space.boundary_dofs, space.boundary_dof_edge
     curve = space.boundary_curve[owner]
     eta = space.dof_coords[dofs]
     if geometry is not None:
@@ -174,28 +157,22 @@ def _boundary_nodes(space, geometry):
     return dofs, space.boundary_tri[owner], curve, eta
 
 
-def _check_c_theta(c_theta):
-    """ConfigurationError unless c_theta is finite and > 0: the constraint
-    scaling theta = c_theta / h must be positive."""
-    if not (np.isfinite(c_theta) and c_theta > 0):
-        raise ConfigurationError(f"c_theta must be finite and > 0, got {c_theta!r}")
-
-
 def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     """Weak-constraint system: boundary rows tie the extended polynomial
     on the true boundary to the Dirichlet data, scaled by c_theta / h."""
     if problem.bc_kind != "dirichlet":
         raise ConfigurationError("problem is not a Dirichlet problem")
-    _check_c_theta(c_theta)
+    # The constraint scaling theta = c_theta / h must be positive.
+    if not (np.isfinite(c_theta) and c_theta > 0):
+        raise ConfigurationError(f"c_theta must be finite and > 0, got {c_theta!r}")
     theta = c_theta / space.mesh.h
     _x, eta, weights, test, _grads_x, vals_eta, _grads_eta = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve
     block = theta * np.einsum("eq,eqi,eqj->eij", weights, test, vals_eta)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
-    rhs = _edge_load(space, theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    rows = space.boundary_dofs
-    constraint = (space.boundary_edge_dofs, space.cell_dofs[tri], block)
-    return _replace_rows(space, problem, rows, constraint, rhs[rows])
+    rhs = theta * np.einsum("eq,eqi,eq->ei", weights, test, g_vals)
+    rows, cols = space.boundary_edge_dofs, space.cell_dofs[tri]
+    return _system(space, problem, rows, cols, block, rhs, replace=True)
 
 
 def assemble_pefem_dirichlet_strong(space, problem, geometry):
@@ -206,16 +183,17 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
     # Each boundary dof is constrained through one adjacent boundary edge.
     dofs, tri, curve, eta = _boundary_nodes(space, geometry)
     vals, _ = eval_basis(space, tri, eta[:, None, :])
-    constraint = (dofs[:, None], space.cell_dofs[tri], vals)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
-    return _replace_rows(space, problem, dofs, constraint, g_vals)
+    cols = space.cell_dofs[tri]
+    return _system(space, problem, dofs[:, None], cols, vals, g_vals[:, None], replace=True)
 
 
-def _flux_correction(space, problem, geometry):
+def _neumann_rows(space, problem, geometry, with_datum=True):
     """The Neumann correction tau as the (rows, cols, blocks) of
     `_add_blocks`, from per-edge blocks with the exact normals at eta and
-    the test traces at x.  Also returns eta, the exact normals there, the
-    weights and the test traces."""
+    the test traces at x, and the per-edge load (E, k + 1) of g_N at eta
+    against the test traces; the load is None, and g_N not read, unless
+    `with_datum`."""
     x, eta, weights, test, grads_x, _vals_eta, grads_eta = _edge_quadrature(space, geometry)
     tri, curve = space.boundary_tri, space.boundary_curve
     n_true = _per_curve(geometry.unit_normal, eta, curve)
@@ -227,8 +205,13 @@ def _flux_correction(space, problem, geometry):
     flux_ext = p_eta[..., None] * np.einsum("eqjd,eqd->eqj", grads_eta, n_true)
     flux_std = p_x[..., None] * np.einsum("eqjd,ed->eqj", grads_x, n_h)
     block = np.einsum("eq,eqi,eqj->eij", weights, test, flux_ext - flux_std)
-    tau = (space.boundary_edge_dofs, space.cell_dofs[tri], block)
-    return tau, eta, n_true, weights, test
+    rhs = None
+    if with_datum:
+        g_vals = _eval_field(
+            problem.g_N, eta, "Neumann datum", n_true[..., 0], n_true[..., 1], **where
+        )
+        rhs = np.einsum("eq,eqi,eq->ei", weights, test, g_vals)
+    return space.boundary_edge_dofs, space.cell_dofs[tri], block, rhs
 
 
 def assemble_pefem_neumann(space, problem, geometry):
@@ -241,25 +224,18 @@ def assemble_pefem_neumann(space, problem, geometry):
     """
     if problem.bc_kind != "neumann":
         raise ConfigurationError("problem is not a Neumann problem")
-    tau, eta, n_true, weights, test = _flux_correction(space, problem, geometry)
-    g_vals = _eval_field(
-        problem.g_N, eta, "Neumann datum", n_true[..., 0], n_true[..., 1],
-        elements=space.boundary_tri, curves=space.boundary_curve,
-    )
-
-    A = assemble_operator(space, p=problem.p, q=problem.q)
-    _add_blocks(A, *tau)
-    F = assemble_load(space, problem.f)
-    F += _edge_load(space, np.einsum("eq,eqi,eq->ei", weights, test, g_vals))
-    return LinearSystem(A, F)
+    return _system(space, problem, *_neumann_rows(space, problem, geometry), replace=False)
 
 
 def assemble_tau_neumann(space, problem, geometry):
-    """The boundary flux-correction matrix alone (diagnostic)."""
-    rows, cols, blocks = _flux_correction(space, problem, geometry)[0]
-    row, col = _block_positions(rows, cols, blocks)
-    shape = (space.n_dofs, space.n_dofs)
-    return sparse.coo_matrix((blocks.ravel(), (row, col)), shape=shape).tocsr()
+    """The boundary flux-correction matrix alone (diagnostic): its nonzero
+    entries, in the operator's pattern."""
+    rows, cols, blocks, _ = _neumann_rows(space, problem, geometry, with_datum=False)
+    tau = assemble_operator(space)
+    tau.data[:] = 0.0
+    _add_blocks(tau, rows, cols, blocks)
+    tau.eliminate_zeros()
+    return tau
 
 
 def assemble_standard_dirichlet(space, problem, geometry=None):
@@ -277,6 +253,6 @@ def assemble_standard_dirichlet(space, problem, geometry=None):
         raise ConfigurationError("the baseline needs the exact solution")
     datum = problem.g_D if problem.g_D is not None else problem.exact_u
     dofs, tri, curve, xi = _boundary_nodes(space, geometry)
-    identity = (dofs[:, None], dofs[:, None], np.ones((len(dofs), 1, 1)))
     g_vals = _eval_field(datum, xi, "Dirichlet datum", elements=tri, curves=curve)
-    return _replace_rows(space, problem, dofs, identity, g_vals)
+    rows, identity = dofs[:, None], np.ones((len(dofs), 1, 1))
+    return _system(space, problem, rows, rows, identity, g_vals[:, None], replace=True)

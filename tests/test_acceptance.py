@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pefem.analysis import error_norms, fit_rate, patch_test, solve
-from pefem.fem import FeSpace, assemble_operator, reference_element, triangle_quadrature
+from pefem.fem import FeSpace, ReferenceElement, assemble_operator, triangle_quadrature
 from pefem.forms import (
     assemble_pefem_dirichlet,
     assemble_pefem_dirichlet_strong,
@@ -232,7 +232,7 @@ def test_criterion_9_property_suite():
     # Partition of unity at extrapolated points, gradients vs differences.
     basis_ok = True
     for k in (1, 2, 3, 4):
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         pts = rng.uniform(-1.5, 2.5, size=(30, 2))
         vals, grads = ref.eval(pts)
         basis_ok = basis_ok and np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-10

@@ -14,11 +14,11 @@ from pefem.fem import (
     _GEMM_ROWS,
     _SYMMETRIC_RULES,
     FeSpace,
+    ReferenceElement,
     affine_map,
     assemble_load,
     assemble_operator,
     eval_fe,
-    reference_element,
     segment_quadrature,
     triangle_quadrature,
 )
@@ -46,7 +46,7 @@ THREE_DOMAINS = pytest.mark.parametrize(
 class TestReferenceElement:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_kronecker_property(self, k):
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         vals, _ = ref.eval(ref.nodes)
         assert np.abs(vals - np.eye(ref.n_basis)).max() <= 1e-12
 
@@ -54,7 +54,7 @@ class TestReferenceElement:
     def test_partition_of_unity_everywhere(self, k):
         # Including points well outside the reference triangle, where the
         # extended polynomials must still sum to one.
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2.0, 3.0, size=(40, 2))
         vals, grads = ref.eval(pts)
@@ -63,7 +63,7 @@ class TestReferenceElement:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gradients_match_finite_differences(self, k):
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.5, 1.5, size=(10, 2))
         _, grads = ref.eval(pts)
@@ -82,7 +82,7 @@ class TestReferenceElement:
         # the monomials x^a y^b, a + b <= k, at the nodes, solved in
         # Fractions and evaluated exactly at the (float) points, which are
         # the degree-10 rule's and points 0.05 outside each edge.
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         exps = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
         monomials = lambda x, y: [x**a * y**b for a, b in exps]
         d_dx = lambda x, y: [a * x ** max(a - 1, 0) * y**b for a, b in exps]
@@ -111,11 +111,11 @@ class TestReferenceElement:
 
     def test_dimension_formula(self):
         for k in (1, 2, 3, 4):
-            assert reference_element(k).n_basis == (k + 1) * (k + 2) // 2
+            assert ReferenceElement(k).n_basis == (k + 1) * (k + 2) // 2
 
     def test_rejects_unsupported_degree(self):
         with pytest.raises(ValueError):
-            reference_element(5).eval([[0.0, 0.0]])
+            ReferenceElement(5).eval([[0.0, 0.0]])
 
 
 def _exact_inverse(rows):
@@ -177,7 +177,7 @@ class TestMonomialSum:
     def test_reference_element_matches_vandermonde_form(self, k):
         # The basis as the Vandermonde solve of the monomials x^a y^b,
         # a + b <= k, with values and gradients from their columns.
-        ref = reference_element(k)
+        ref = ReferenceElement(k)
         exps = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
         mono = lambda pts, da, db: np.column_stack([
             math.perm(a, da) * math.perm(b, db) * pts[:, 0] ** max(a - da, 0) * pts[:, 1] ** max(b - db, 0)

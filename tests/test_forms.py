@@ -1,5 +1,7 @@
 """Tests for the boundary-extension assemblers and the baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -310,18 +312,25 @@ def test_weak_solution_does_not_depend_on_c_theta(mesh, k, e):
     assert np.linalg.norm(scaled - default) <= 1e-8 * np.linalg.norm(default)
 
 
-def _coo_replace_rows(space, problem, rows, constraint, rhs):
-    """Reference for `forms._replace_rows`: the kept operator entries and
-    the constraint blocks, summed by one COO-to-CSR conversion."""
+def _coo_system(space, problem, rows, cols, blocks, rhs, replace):
+    """Reference for `forms._system`: the blocks summed by one COO-to-CSR
+    conversion, then added to the operator entries kept (all of them
+    unless `replace`) by another; rhs summed into the load by a COO-to-dense
+    conversion."""
     K = assemble_operator(space, p=problem.p, q=problem.q).tocoo()
-    keep = ~np.isin(K.row, rows)
-    block_rows, block_cols, blocks = constraint
+    keep = ~np.isin(K.row, rows) if replace else np.ones(K.nnz, dtype=bool)
     n_rows, n_cols = blocks.shape[1:]
-    row = np.concatenate([K.row[keep], np.repeat(block_rows, n_cols, axis=1).ravel()])
-    col = np.concatenate([K.col[keep], np.tile(block_cols, (1, n_rows)).ravel()])
-    data = np.concatenate([K.data[keep], blocks.ravel()])
+    block_row = np.repeat(rows, n_cols, axis=1).ravel()
+    block_col = np.tile(cols, (1, n_rows)).ravel()
+    B = sparse.coo_matrix((blocks.ravel(), (block_row, block_col)), shape=K.shape).tocsr().tocoo()
+    row = np.concatenate([K.row[keep], B.row])
+    col = np.concatenate([K.col[keep], B.col])
+    data = np.concatenate([K.data[keep], B.data])
     F = assemble_load(space, problem.f)
-    F[rows] = rhs
+    if replace:
+        F[rows.ravel()] = 0.0
+    at = (rows.ravel(), np.zeros(rows.size, dtype=int))
+    F += sparse.coo_matrix((rhs.ravel(), at), shape=(space.n_dofs, 1)).toarray()[:, 0]
     A = sparse.coo_matrix((data, (row, col)), shape=K.shape).tocsr()
     return LinearSystem(A, F)
 
@@ -332,24 +341,26 @@ def _coo_replace_rows(space, problem, rows, constraint, rhs):
     ids=["square-k1", "disk-k3", "hole-k2"],
 )
 @pytest.mark.parametrize(
-    "assemble",
+    "assemble, bc_kind",
     [
-        assemble_pefem_dirichlet,
-        assemble_pefem_dirichlet_strong,
-        assemble_standard_dirichlet,
+        (assemble_pefem_dirichlet, "dirichlet"),
+        (assemble_pefem_dirichlet_strong, "dirichlet"),
+        (assemble_standard_dirichlet, "dirichlet"),
+        (assemble_pefem_neumann, "neumann"),
     ],
-    ids=["weak", "strong", "standard"],
+    ids=["weak", "strong", "standard", "neumann"],
 )
-def test_replaced_rows_match_coo_reference_bit_for_bit(assemble, case, monkeypatch):
+def test_replaced_rows_match_coo_reference_bit_for_bit(assemble, bc_kind, case, monkeypatch):
     # Every entry of the COO construction is stored, bit for bit; the
     # other stored entries are replaced rows' operator entries, now
-    # explicit zeros.  The right-angled P1 elements of the square leave
-    # explicit zeros in the operator, which both constructions keep.
+    # explicit zeros (Neumann replaces no rows and keeps every operator
+    # entry).  The right-angled P1 elements of the square leave explicit
+    # zeros in the operator, which both constructions keep.
     mesh, geo, k = case()
     space = FeSpace(mesh, k)
-    problem = cosine_problem("dirichlet")
+    problem = cosine_problem(bc_kind)
     got = assemble(space, problem, geo)
-    monkeypatch.setattr(forms, "_replace_rows", _coo_replace_rows)
+    monkeypatch.setattr(forms, "_system", _coo_system)
     want = assemble(space, problem, geo)
     got_A, want_A = got.A.tocoo(), want.A.tocoo()
     key = lambda m: m.row.astype(np.int64) * space.n_dofs + m.col
@@ -390,6 +401,19 @@ def test_every_system_stores_the_operator_pattern(case, k):
     for A in matrices:
         assert np.array_equal(A.indptr, K.indptr)
         assert np.array_equal(A.indices, K.indices)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tau_stores_only_its_nonzero_entries_of_the_operator_pattern(k):
+    # The straight edges of the square give exact zeros, which are not
+    # stored.  Without g_N: the correction does not read the datum.
+    space = FeSpace(generate_square_hole_mesh(1), k)
+    problem = dataclasses.replace(cosine_problem("neumann"), g_N=None)
+    tau = assemble_tau_neumann(space, problem, square_hole_geometry())
+    assert tau.has_canonical_format
+    assert tau.nnz > 0 and np.all(tau.data != 0.0)
+    key = lambda m: m.row.astype(np.int64) * space.n_dofs + m.col
+    assert np.all(np.isin(key(tau.tocoo()), key(assemble_operator(space).tocoo())))
 
 
 def test_entry_outside_the_pattern_is_refused():
@@ -459,6 +483,25 @@ class TestBoundaryErrors:
         setattr(problem, name, lambda x, y, *n: np.where(x > 0.99, np.nan, good(x, y, *n)))
         (tri,) = [e[2] for e in mesh.boundary_edges if mesh.vertices[list(e[:2]), 0].min() > 0.98]
         with pytest.raises(AssemblyError, match=f"element {tri}: non-finite .* on curve 'circle'"):
+            assemble(space, problem, disk_geometry())
+
+    @pytest.mark.parametrize(
+        "assemble, bc_kind, name, what",
+        [
+            (assemble_pefem_dirichlet, "dirichlet", "g_D", "Dirichlet datum"),
+            (assemble_pefem_dirichlet_strong, "dirichlet", "g_D", "Dirichlet datum"),
+            (assemble_pefem_neumann, "neumann", "g_N", "Neumann datum"),
+            (assemble_pefem_dirichlet, "dirichlet", "f", "source"),
+            (assemble_pefem_dirichlet_strong, "dirichlet", "f", "source"),
+            (assemble_pefem_neumann, "neumann", "f", "source"),
+        ],
+        ids=["weak-g_D", "strong-g_D", "neumann-g_N", "weak-f", "strong-f", "neumann-f"],
+    )
+    def test_missing_datum_is_a_configuration_error(self, assemble, bc_kind, name, what):
+        # None is the ProblemSpec default for f, g_D and g_N.
+        problem = dataclasses.replace(cosine_problem(bc_kind), **{name: None})
+        space = FeSpace(generate_disk_mesh(16), 2)
+        with pytest.raises(ConfigurationError, match=f"the problem has no {what}"):
             assemble(space, problem, disk_geometry())
 
 
