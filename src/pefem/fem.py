@@ -41,11 +41,12 @@ class ReferenceElement:
         # Row 3 m + c of the factor tables in `eval` holds R_m(k lambda_c).
         self._factor_rows = 3 * self.bary.T + np.arange(3)[:, None]
 
-    def eval(self, points):
+    def eval(self, points, gradients=True):
         """Basis values and gradients at arbitrary reference points.
 
         Returns (values, gradients) with shapes (n_pts, n_basis) and
-        (n_pts, n_basis, 2).  No clamping to the simplex is performed.
+        (n_pts, n_basis, 2); gradients is None, and none are computed,
+        unless `gradients`.  No clamping to the simplex is performed.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         k, n = self.degree, len(pts)
@@ -57,24 +58,30 @@ class ReferenceElement:
         # every operation runs over contiguous rows.
         s = np.arange(k)[:, None, None]
         f = (k * lam - s) / (s + 1)
-        r, dr = np.empty((k + 1, 3, n)), np.empty((k + 1, 3, n))
-        r[0], dr[0], dr[1] = 1.0, 0.0, k
+        r = np.empty((k + 1, 3, n))
+        r[0] = 1.0
         np.cumprod(f, axis=0, out=r[1:])
+        i0, i1, i2 = self._factor_rows
+        rows = r.reshape(-1, n)
+        r0, r1, r2 = rows[i0], rows[i1], rows[i2]
+        values = r1 * r2
+        if not gradients:
+            values *= r0
+            return values.T, None
+        dr = np.empty((k + 1, 3, n))
+        dr[0], dr[1] = 0.0, k
         for m in range(2, k + 1):
             np.multiply(dr[m - 1], f[m - 1], out=dr[m])
             dr[m] += (k / m) * r[m - 1]
-        r, dr = r.reshape(-1, n), dr.reshape(-1, n)
-        i0, i1, i2 = self._factor_rows
-        r0, r1, r2 = r[i0], r[i1], r[i2]
-        values = r1 * r2
+        dr = dr.reshape(-1, n)
         d_lam0 = dr[i0] * values
         values *= r0
         # d/dx = d/dlambda_1 - d/dlambda_0, d/dy = d/dlambda_2 - d/dlambda_0.
-        gradients = np.empty((2, self.n_basis, n))
-        np.multiply(r0 * r2, dr[i1], out=gradients[0])
-        np.multiply(r0 * r1, dr[i2], out=gradients[1])
-        gradients -= d_lam0
-        return values.T, gradients.T
+        grads = np.empty((2, self.n_basis, n))
+        np.multiply(r0 * r2, dr[i1], out=grads[0])
+        np.multiply(r0 * r1, dr[i2], out=grads[1])
+        grads -= d_lam0
+        return values.T, grads.T
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +199,12 @@ class FeSpace:
     - `quad_weights` (n_elements, n_q): the rule's weights times det(B);
     - `quad_values` (n_q, n_b) and `quad_grads` (n_q, n_b, 2): the
       reference basis and its reference gradients at the rule's points;
+    - `det` (n_elements,): det(B) of each element's map;
+    - `ref_matrices` (5, n_b^2): the reference element's matrices by the
+      same rule, with reference weights w: the gradient matrices
+      S^de_bc = sum_q w_q d_d phi_b d_e phi_c for (d, e) = (0, 0), (0, 1),
+      (1, 0), (1, 1), then the mass matrix M_bc = sum_q w_q phi_b phi_c,
+      each an (n_b, n_b) matrix flattened to one row;
     - for the E boundary edges, in `mesh.boundary_edges` order: each
       edge's adjacent triangle `boundary_tri` (E,) and curve id
       `boundary_curve` (E,), the local basis indices `boundary_local`
@@ -257,8 +270,14 @@ class FeSpace:
         coords[cell_dofs] = to_physical(self.ref.nodes)
         self.dof_coords = coords
         self.quad_points = to_physical(triangle_points)
+        self.det = det
         self.quad_weights = triangle_weights * det[:, None]
-        self.quad_values, self.quad_grads = self.ref.eval(triangle_points)
+        vals, grads = self.quad_values, self.quad_grads = self.ref.eval(triangle_points)
+        nb = self.ref.n_basis
+        self.ref_matrices = np.concatenate([
+            np.einsum("q,qbd,qce->debc", triangle_weights, grads, grads).reshape(4, nb * nb),
+            np.einsum("q,qb,qc->bc", triangle_weights, vals, vals).reshape(1, nb * nb),
+        ])
 
         ends, tri, self.boundary_curve = mesh.boundary_table
         valid = (tri >= 0) & (tri < nt)
@@ -304,21 +323,23 @@ class FeSpace:
 # evaluation and assembly
 
 
-def eval_basis(space, elements, points):
+def eval_basis(space, elements, points, gradients=True):
     """Basis values and physical gradients of element polynomials anywhere.
 
     `elements` has shape (E,) and `points` shape (E, n, 2): the polynomials
     of element elements[e] are evaluated at points[e], which may lie
     outside the element.  Returns values (E, n, n_basis) and gradients
-    (E, n, n_basis, 2).
+    (E, n, n_basis, 2); gradients is None, and none are computed, unless
+    `gradients`.
     """
     pts = np.asarray(points, dtype=float)
     b0, Binv = space.origin[elements], space.Binv[elements]
     ref_pts = (pts - b0[:, None, :]) @ np.swapaxes(Binv, -1, -2)
-    vals, grads = space.ref.eval(ref_pts.reshape(-1, 2))
+    vals, grads = space.ref.eval(ref_pts.reshape(-1, 2), gradients)
     n_elem, n_pts = pts.shape[:2]
     nb = space.ref.n_basis
-    grads = (grads.reshape(n_elem, n_pts * nb, 2) @ Binv).reshape(n_elem, n_pts, nb, 2)
+    if gradients:
+        grads = (grads.reshape(n_elem, n_pts * nb, 2) @ Binv).reshape(n_elem, n_pts, nb, 2)
     return vals.reshape(n_elem, n_pts, nb), grads
 
 
@@ -361,34 +382,27 @@ def assemble_operator(space, p=None, q=None):
 
     p and q are vectorized callables (x, y) -> values, evaluated at the
     space's `quad_points`.  Elements are affine, so every element matrix
-    is one row of a single GEMM, `_chunked_matmul(factor, table)`.  Row m
-    of `factor` holds the entries of w p (Binv Binv^T) at the quadrature
-    points of element m (4 n_q columns) and, with q, w q (n_q more
-    columns); the rows of `table` are the matching products of reference
-    gradients d_d phi_b d_e phi_c and, with q, of values phi_b phi_c
-    (n_b^2 columns).  The product runs over blocks of `_GEMM_ROWS`
-    elements, so the packing buffer BLAS keeps after it stays small (see
-    `_GEMM_ROWS`).
+    is one row of a single GEMM.
+
+    Where p and q are each exactly constant over every element's points
+    (no p counts as 1), the element matrix of element m is
+    det p (Binv Binv^T)_de S^de + det q M with the space's `ref_matrices`
+    (Kirby & Logg, ACM TOMS 2006): the GEMM of a (n_elements, 4 [+ 1])
+    factor with the reference matrices.
+
+    Otherwise it is `_chunked_matmul(factor, table)`.  Row m of `factor`
+    holds the entries of w p (Binv Binv^T) at the quadrature points of
+    element m (4 n_q columns) and, with q, w q (n_q more columns); the
+    rows of `table` are the matching products of reference gradients
+    d_d phi_b d_e phi_c and, with q, of values phi_b phi_c (n_b^2
+    columns).  The product runs over blocks of `_GEMM_ROWS` elements, so
+    the packing buffer BLAS keeps after it stays small (see `_GEMM_ROWS`).
 
     The CSR matrix owns compact `data` and `indices` arrays, which the
     boundary assemblers write into.
     """
-    x, w = space.quad_points, space.quad_weights
-    vals, grads = space.quad_values, space.quad_grads
-    nq, nb = vals.shape
-    w_p = w if p is None else w * _eval_field(p, x, "diffusion coefficient")
-    metric = space.Binv @ np.swapaxes(space.Binv, -1, -2)
-    # Entry (d, e) of the metric, then the point: the broadcast's inner
-    # axis is the n_q points rather than a 2 x 2 block.
-    factor = np.empty((len(w), 4 if q is None else 5, nq))
-    np.multiply(metric.reshape(-1, 4, 1), w_p[:, None, :], out=factor[:, :4])
-    table = np.einsum("qbd,qce->deqbc", grads, grads).reshape(4 * nq, nb * nb)
-    if q is not None:
-        factor[:, 4] = w * _eval_field(q, x, "reaction coefficient")
-        val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
-        table = np.vstack([table, val_val])
-    local = _chunked_matmul(factor.reshape(len(w), -1), table)
-
+    local = _element_matrices(space, p, q)
+    nb = space.ref.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
     mat = sp.coo_matrix(
@@ -401,6 +415,43 @@ def assemble_operator(space, p=None, q=None):
     del local, rows, cols
     mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
+
+
+def _element_matrices(space, p, q):
+    """The flattened element matrices (n_elements, n_b^2) of
+    `assemble_operator`, by the reference matrices or the quadrature GEMM."""
+    x, w = space.quad_points, space.quad_weights
+    p_x = None if p is None else _eval_field(p, x, "diffusion coefficient")
+    q_x = None if q is None else _eval_field(q, x, "reaction coefficient")
+    metric = space.Binv @ np.swapaxes(space.Binv, -1, -2)
+    if _constant_per_element(p_x) and _constant_per_element(q_x):
+        factor = np.empty((len(w), 4 if q is None else 5))
+        det_p = space.det if p is None else space.det * p_x[:, 0]
+        np.multiply(metric.reshape(-1, 4), det_p[:, None], out=factor[:, :4])
+        if q is not None:
+            factor[:, 4] = space.det * q_x[:, 0]
+        # One product: with an inner dimension of 4 or 5 it leaves about
+        # 0.5 MB of packing buffer resident at disk n = 128, k = 4.
+        return factor @ space.ref_matrices[: factor.shape[1]]
+    vals, grads = space.quad_values, space.quad_grads
+    nq, nb = vals.shape
+    w_p = w if p is None else w * p_x
+    # Entry (d, e) of the metric, then the point: the broadcast's inner
+    # axis is the n_q points rather than a 2 x 2 block.
+    factor = np.empty((len(w), 4 if q is None else 5, nq))
+    np.multiply(metric.reshape(-1, 4, 1), w_p[:, None, :], out=factor[:, :4])
+    table = np.einsum("qbd,qce->deqbc", grads, grads).reshape(4 * nq, nb * nb)
+    if q is not None:
+        factor[:, 4] = w * q_x
+        val_val = np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb)
+        table = np.vstack([table, val_val])
+    return _chunked_matmul(factor.reshape(len(w), -1), table)
+
+
+def _constant_per_element(values):
+    """Whether values (n_elements, n_q) are exactly equal across each row;
+    None, an absent coefficient, counts as constant."""
+    return values is None or bool(np.all(values == values[:, :1]))
 
 
 def _eval_field(fun, x, what, *args, elements=None, curves=None):

@@ -57,7 +57,9 @@ class ProblemSpec:
 
 def verify_problem_consistency(problem, points, normals=None, tol=1e-10):
     """Check boundary data against the exact solution at boundary points;
-    a NaN anywhere in the data fails the check."""
+    a NaN anywhere in the data fails the check.  Checking g_N needs the
+    problem's exact_grad and the unit normals at the points; a missing one
+    raises ConfigurationError naming it."""
     if problem.exact_u is None:
         return
     x, y = points[:, 0], points[:, 1]
@@ -66,6 +68,10 @@ def verify_problem_consistency(problem, points, normals=None, tol=1e-10):
         if not err <= tol:
             raise ConfigurationError(f"g_D inconsistent with exact_u (err {err:.2e})")
     if problem.bc_kind == "neumann" and problem.g_N is not None:
+        if problem.exact_grad is None:
+            raise ConfigurationError("checking g_N against exact_u needs the problem's exact_grad")
+        if normals is None:
+            raise ConfigurationError("checking g_N against exact_u needs the boundary normals")
         ux, uy = problem.exact_grad(x, y)
         flux = problem.p(x, y) * (ux * normals[:, 0] + uy * normals[:, 1])
         err = np.abs(problem.g_N(x, y, normals[:, 0], normals[:, 1]) - flux).max()
@@ -130,19 +136,21 @@ def _system(space, problem, rows, cols, blocks, rhs, replace):
     return LinearSystem(A, F)
 
 
-def _edge_quadrature(space, geometry):
+def _edge_quadrature(space, geometry, gradients):
     """The space's boundary-edge quadrature points x (E, n_q, 2), their
     closest points eta on the true boundary, the weights (E, n_q), and,
     from one `eval_basis` call at x and eta together: the test traces at
     x (E, n_q, k + 1), i.e. the adjacent element's basis restricted to
-    the edge's own nodes, the basis gradients at x (E, n_q, n_basis, 2),
-    and the basis values and gradients at eta."""
+    the edge's own nodes, the basis values at eta (E, n_q, n_basis) and,
+    with `gradients`, the basis gradients at x and at eta (E, n_q,
+    n_basis, 2), else None for each."""
     x = space.boundary_points
     eta = _per_curve(geometry.closest_point, x, space.boundary_curve)
     n_q = x.shape[1]
-    vals, grads = eval_basis(space, space.boundary_tri, np.concatenate([x, eta], axis=1))
+    vals, grads = eval_basis(space, space.boundary_tri, np.concatenate([x, eta], axis=1), gradients)
     test = np.take_along_axis(vals[:, :n_q], space.boundary_local[:, None, :], axis=2)
-    return x, eta, space.boundary_weights, test, grads[:, :n_q], vals[:, n_q:], grads[:, n_q:]
+    grads_x, grads_eta = (grads[:, :n_q], grads[:, n_q:]) if gradients else (None, None)
+    return x, eta, space.boundary_weights, test, vals[:, n_q:], grads_x, grads_eta
 
 
 def _boundary_nodes(space, geometry):
@@ -166,7 +174,7 @@ def assemble_pefem_dirichlet(space, problem, geometry, c_theta=DEFAULT_C_THETA):
     if not (np.isfinite(c_theta) and c_theta > 0):
         raise ConfigurationError(f"c_theta must be finite and > 0, got {c_theta!r}")
     theta = c_theta / space.mesh.h
-    _x, eta, weights, test, _grads_x, vals_eta, _grads_eta = _edge_quadrature(space, geometry)
+    _x, eta, weights, test, vals_eta, _, _ = _edge_quadrature(space, geometry, gradients=False)
     tri, curve = space.boundary_tri, space.boundary_curve
     block = theta * np.einsum("eq,eqi,eqj->eij", weights, test, vals_eta)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
@@ -182,7 +190,7 @@ def assemble_pefem_dirichlet_strong(space, problem, geometry):
         raise ConfigurationError("problem is not a Dirichlet problem")
     # Each boundary dof is constrained through one adjacent boundary edge.
     dofs, tri, curve, eta = _boundary_nodes(space, geometry)
-    vals, _ = eval_basis(space, tri, eta[:, None, :])
+    vals, _ = eval_basis(space, tri, eta[:, None, :], gradients=False)
     g_vals = _eval_field(problem.g_D, eta, "Dirichlet datum", elements=tri, curves=curve)
     cols = space.cell_dofs[tri]
     return _system(space, problem, dofs[:, None], cols, vals, g_vals[:, None], replace=True)
@@ -194,7 +202,7 @@ def _neumann_rows(space, problem, geometry, with_datum=True):
     the test traces at x, and the per-edge load (E, k + 1) of g_N at eta
     against the test traces; the load is None, and g_N not read, unless
     `with_datum`."""
-    x, eta, weights, test, grads_x, _vals_eta, grads_eta = _edge_quadrature(space, geometry)
+    x, eta, weights, test, _, grads_x, grads_eta = _edge_quadrature(space, geometry, gradients=True)
     tri, curve = space.boundary_tri, space.boundary_curve
     n_true = _per_curve(geometry.unit_normal, eta, curve)
     n_h = space.boundary_normals

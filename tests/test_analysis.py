@@ -142,6 +142,17 @@ class TestSolve:
                 misses += abs(Fraction(plain[i]) - exact) > bound
             assert misses > 0
 
+    def test_norm_is_the_largest_absolute_row_sum(self):
+        # Empty rows first, inside and last: each sums to 0.
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.6)
+        dense[[0, 3, 6]] = 0.0
+        dense[1, 0] = -40.0
+        A = sparse.csr_matrix(dense)
+        assert np.diff(A.indptr)[[0, 3, 6]].tolist() == [0, 0, 0]
+        assert _norm_inf(A) == pytest.approx(abs(A).sum(axis=1).max(), rel=4 * EPS)
+        assert _norm_inf(sparse.csr_matrix((3, 3))) == 0.0
+
     def test_plain_residual_only_where_its_error_bound_allows(self):
         rng = np.random.default_rng(4)
         A, x, F = _random_rows(rng)

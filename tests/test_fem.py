@@ -10,14 +10,17 @@ import scipy.sparse as sp
 
 from pefem.analysis import error_norms
 from pefem.errors import AssemblyError, SingularElementError
+from pefem import fem
 from pefem.fem import (
     _GEMM_ROWS,
     _SYMMETRIC_RULES,
+    _chunked_matmul,
     FeSpace,
     ReferenceElement,
     affine_map,
     assemble_load,
     assemble_operator,
+    eval_basis,
     eval_fe,
     segment_quadrature,
     triangle_quadrature,
@@ -474,6 +477,22 @@ def test_boundary_quadrature_arrays(make_mesh, k):
         assert np.abs(space.boundary_weights[e] - w * np.linalg.norm(b - a)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_basis_values_alone_equal_those_with_gradients(k):
+    # At each boundary edge's Gauss points moved off the polygon, as the
+    # boundary passes evaluate them: the same values with or without the
+    # gradients, and no gradients when none are asked for.
+    space = FeSpace(generate_disk_mesh(16), k)
+    rng = np.random.default_rng(k)
+    points = space.boundary_points + rng.uniform(-0.05, 0.05, space.boundary_points.shape)
+    vals, grads = eval_basis(space, space.boundary_tri, points)
+    alone, none = eval_basis(space, space.boundary_tri, points, gradients=False)
+    assert none is None and np.array_equal(alone, vals)
+    assert grads.shape == vals.shape + (2,)
+    ref_vals, ref_none = space.ref.eval(space.ref.nodes, gradients=False)
+    assert ref_none is None and np.array_equal(ref_vals, space.ref.eval(space.ref.nodes)[0])
+
+
 class TestEvalFe:
     @pytest.mark.parametrize("k", [2, 4])
     def test_reproduces_polynomial_at_external_points(self, k):
@@ -599,25 +618,46 @@ class TestAssembly:
         assert np.abs((A - A.T).toarray()).max() <= 1e-13
 
 
-def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
-    """Stiffness (+ mass if q is given), load and (L2, H1) errors summed
-    point by point from physical gradients: the reference the
-    contractions must equal."""
+def _per_point_rule(space):
+    """The volume rule's reference basis values (n_q, n_b), and per
+    element its physical points x (m, n_q, 2), weights w (m, n_q) and
+    physical basis gradients (m, n_q, n_b, 2), from the rule and
+    `affine_map`."""
     points, weights = triangle_quadrature(2 * space.degree + 2)
     ref_vals, ref_grads = space.ref.eval(points)
     B, origin, det, Binv = affine_map(space.mesh.vertices[space.mesh.triangles])
     x = np.einsum("qd,med->mqe", points, B) + origin[:, None, :]
-    xx, yy = x[..., 0], x[..., 1]
     w = weights[None, :] * det[:, None]
     gphys = np.einsum("qbd,mde->mqbe", ref_grads, Binv)
+    return ref_vals, x, w, gphys
 
-    local = np.einsum("mq,mq,mqbe,mqce->mbc", w, p(xx, yy), gphys, gphys)
-    if q is not None:
-        local += np.einsum("mq,mq,qb,qc->mbc", w, q(xx, yy), ref_vals, ref_vals)
+
+def _from_element_matrices(space, local):
+    """The global CSR matrix of element matrices local (m, n_b, n_b)."""
     nb = space.ref.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
+
+
+def _per_point_operator(space, p, q):
+    """Stiffness of p (+ mass of q if given), each element matrix an
+    einsum over the rule's points of physical gradients and values."""
+    ref_vals, x, w, gphys = _per_point_rule(space)
+    xx, yy = x[..., 0], x[..., 1]
+    local = np.einsum("mq,mq,mqbe,mqce->mbc", w, p(xx, yy), gphys, gphys)
+    if q is not None:
+        local += np.einsum("mq,mq,qb,qc->mbc", w, q(xx, yy), ref_vals, ref_vals)
+    return _from_element_matrices(space, local)
+
+
+def _per_point_volume(space, p, q, f, u_h, exact_u, exact_grad):
+    """Stiffness (+ mass if q is given), load and (L2, H1) errors summed
+    point by point from physical gradients: the reference the
+    contractions must equal."""
+    ref_vals, x, w, gphys = _per_point_rule(space)
+    xx, yy = x[..., 0], x[..., 1]
+    A = _per_point_operator(space, p, q)
     F = np.zeros(space.n_dofs)
     np.add.at(F, space.cell_dofs, np.einsum("mq,mq,qb->mb", w, f(xx, yy), ref_vals))
 
@@ -670,3 +710,84 @@ def test_volume_contractions_match_per_point_sums(mesh_name, k):
     K_ref = _per_point_volume(space, one, None, f, u_h, exact_u, exact_grad)[0]
     K = assemble_operator(space)
     assert abs(K - K_ref).max() <= 1e-13 * np.abs(K_ref.data).max()
+
+
+def _quadrature_gemm(space, p, q):
+    """The operator by the quadrature GEMM, for coefficients p and q that
+    vary within elements: w p (Binv Binv^T) and w q at each element's
+    points times the products of reference gradients and values."""
+    x, w = space.quad_points, space.quad_weights
+    grads, vals = space.quad_grads, space.quad_values
+    nq, nb = vals.shape
+    metric = (space.Binv @ np.swapaxes(space.Binv, -1, -2)).reshape(-1, 4, 1)
+    w_p, w_q = w * p(x[..., 0], x[..., 1]), w * q(x[..., 0], x[..., 1])
+    factor = np.concatenate([metric * w_p[:, None, :], w_q[:, None, :]], axis=1)
+    table = np.vstack([
+        np.einsum("qbd,qce->deqbc", grads, grads).reshape(4 * nq, nb * nb),
+        np.einsum("qb,qc->qbc", vals, vals).reshape(nq, nb * nb),
+    ])
+    local = _chunked_matmul(factor.reshape(len(w), -1), table)
+    return _from_element_matrices(space, local)
+
+
+def _jump(x, y):
+    return np.where(x < 0.0, 1.0, 4.0)
+
+
+# (mesh, p, q): no coefficient (p = 1), constants, p constant on each
+# element but jumping across the mesh line x = 0 of the square, and
+# coefficients varying within elements.
+COEFFICIENT_KINDS = {
+    "none": (lambda: generate_disk_mesh(16), None, None),
+    "constant": (
+        lambda: generate_disk_mesh(16),
+        lambda x, y: np.full_like(x, 2.5),
+        lambda x, y: np.full_like(x, 0.75),
+    ),
+    "jump": (lambda: generate_square_mesh(4), _jump, lambda x, y: np.full_like(x, 0.5)),
+    "smooth": (
+        lambda: generate_disk_mesh(16),
+        lambda x, y: 1.0 + x**2 + 0.5 * np.sin(y),
+        lambda x, y: 2.0 + x * y,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(COEFFICIENT_KINDS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_operator_matches_per_element_quadrature(kind, k, monkeypatch):
+    make_mesh, p, q = COEFFICIENT_KINDS[kind]
+    space = FeSpace(make_mesh(), k)
+    one = lambda x, y: np.ones_like(x)
+    A_ref = _per_point_operator(space, p or one, q)
+    if kind == "smooth":
+        A = assemble_operator(space, p=p, q=q)
+        # Coefficients that vary within elements take the quadrature GEMM.
+        A_gemm = _quadrature_gemm(space, p, q)
+        assert np.array_equal(A.indptr, A_gemm.indptr)
+        assert np.array_equal(A.indices, A_gemm.indices)
+        assert np.array_equal(A.data, A_gemm.data)
+    else:
+        if kind == "jump":
+            values = _jump(space.quad_points[..., 0], space.quad_points[..., 1])
+            assert np.all(values == values[:, :1]) and np.ptp(values) == 3.0
+        # Coefficients constant on each element take the reference matrices.
+        monkeypatch.setattr(fem, "_chunked_matmul", None)
+        A = assemble_operator(space, p=p, q=q)
+    assert np.array_equal(A.indptr, A_ref.indptr) and np.array_equal(A.indices, A_ref.indices)
+    assert np.abs(A.data - A_ref.data).max() <= 2e-15 * np.abs(A_ref.data).max()
+
+
+def test_reference_matrices():
+    # On the reference triangle, of area 1/2, the P2 mass matrix has the
+    # vertex entries 1/60 on its diagonal and -1/360 off it, and its
+    # entries sum to the area; each gradient matrix annihilates constants.
+    space = FeSpace(generate_square_mesh(1), 2)
+    nb = space.ref.n_basis
+    assert space.ref_matrices.shape == (5, nb * nb)
+    S, M = space.ref_matrices[:4].reshape(4, nb, nb), space.ref_matrices[4].reshape(nb, nb)
+    vertices = np.flatnonzero((space.ref.bary == 2).any(axis=1))
+    want = np.full((3, 3), -1 / 360) + np.eye(3) * (1 / 60 + 1 / 360)
+    assert np.abs(M[np.ix_(vertices, vertices)] - want).max() <= 1e-16
+    assert M.sum() == pytest.approx(0.5, rel=1e-15)
+    assert np.abs(S.sum(axis=2)).max() <= 1e-14

@@ -103,6 +103,18 @@ class TestProblemSpec:
             verify_problem_consistency(problem, pts, pts)
 
 
+    def test_consistency_check_names_a_missing_exact_gradient(self):
+        problem = dataclasses.replace(cosine_problem("neumann"), exact_grad=None)
+        pts = np.array([[1.0, 0.0]])
+        with pytest.raises(ConfigurationError, match="exact_grad"):
+            verify_problem_consistency(problem, pts, pts)
+
+    def test_consistency_check_names_missing_normals(self):
+        pts = np.array([[1.0, 0.0]])
+        with pytest.raises(ConfigurationError, match="normals"):
+            verify_problem_consistency(cosine_problem("neumann"), pts)
+
+
 class TestWeakDirichlet:
     def test_rejects_neumann_problem(self):
         mesh = generate_disk_mesh(16)
